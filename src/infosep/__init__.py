@@ -33,7 +33,6 @@ from .errors import (
     InvalidGenerator,
     InvalidMap,
     NoFeasiblePoint,
-    NotConverged,
     NumericalError,
 )
 from .finfo import (

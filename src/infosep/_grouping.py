@@ -1,34 +1,31 @@
-"""Tolerance-based row grouping used by the reduction and common-part code."""
+"""Symbol grouping: the one place that labels connected components.
+
+The reduction code (minimal sufficient maps) and the common-part code
+(Gacs-Korner) both group symbols into the connected components of a graph
+on the symbols: rows within a tolerance of each other, or x and y symbols
+joined by a support cell.  `label_components` labels those components and
+`group_rows` builds the closeness graph for it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
-class UnionFind:
-    """Disjoint sets over ``range(n)`` with path compression and union by rank."""
+def label_components(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Component labels of the undirected graph on ``range(n)``.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
+    Edges are ``(i[e], k[e])``.  Components are numbered in order of their
+    first vertex, so the labeling is deterministic.
+    """
+    graph = coo_matrix((np.ones(len(i)), (i, k)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[comp]
 
 
 def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -36,27 +33,19 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
     Merging is closed under chaining (a~b and b~c put a, c in one class even
     when a and c differ by more than `tol`).  Class labels are assigned in
-    order of first occurrence, so the labeling is deterministic.
+    order of first occurrence, so the labeling is deterministic.  Zero-width
+    rows are all identical and form one class.
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[0]
-    uf = UnionFind(n)
     if rows.ndim != 2:
         raise ValueError("group_rows expects a 2-d array")
-    if rows.shape[1] > 0:
-        for i in range(n):
-            for k in range(i + 1, n):
-                if np.max(np.abs(rows[i] - rows[k])) <= tol:
-                    uf.union(i, k)
-    else:
-        # zero-width rows are all identical by convention
-        for i in range(1, n):
-            uf.union(0, i)
-    labels = np.empty(n, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return labels
+    n = rows.shape[0]
+    heads = [np.empty(0, dtype=np.int64)]
+    tails = [np.empty(0, dtype=np.int64)]
+    for r in range(n - 1):
+        # one row against all later rows keeps memory at O(n * width)
+        gap = np.max(np.abs(rows[r + 1:] - rows[r]), axis=1, initial=0.0)
+        near = r + 1 + np.flatnonzero(gap <= tol)
+        heads.append(np.full(near.size, r))
+        tails.append(near)
+    return label_components(n, np.concatenate(heads), np.concatenate(tails))

@@ -14,8 +14,8 @@ headerless CSV matrices.  Reports are JSON with sorted keys and numbers
 rounded to 12 significant digits, so identical input, configuration and
 seed reproduce a report byte for byte except for the timestamp field.
 
-Exit codes: 0 success, 2 unreadable or unparseable input, 3 output write
-failure, 4 verification failed.
+Exit codes: 0 success, 2 unreadable or unparseable input or a bad flag
+value, 3 output write failure, 4 verification failed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -136,15 +137,29 @@ def _emit_text(text: str, out_path: str | None):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             _fail(EXIT_PARSE, f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    if seed < 0:
+        _fail(EXIT_PARSE, f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _check_beta(flag: str, beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        _fail(EXIT_PARSE, f"{flag} values must be positive and finite, got {beta:g}")
+
+
+def _check_flags(args) -> None:
+    """Reject flag values that no solver takes, before any input is read."""
+    if getattr(args, "restarts", 0) < 0:
+        _fail(EXIT_PARSE, f"--restarts must be non-negative, got {args.restarts}")
+    for beta in getattr(args, "beta", None) or ():
+        _check_beta("--beta", beta)
 
 
 def _timestamp() -> str:
@@ -271,14 +286,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ib_sweep(args) -> int:
-    joint, _ = _load_distribution(args.input)
-    seed = _resolve_seed(args)
     try:
         betas = [float(b) for b in args.beta_grid.split(",") if b.strip()]
         if not betas:
             raise ValueError("empty grid")
     except ValueError as exc:
         _fail(EXIT_PARSE, f"bad beta grid {args.beta_grid!r}: {exc}")
+    for beta in betas:
+        _check_beta("--beta-grid", beta)
+    joint, _ = _load_distribution(args.input)
+    seed = _resolve_seed(args)
     curve = ib_curve(joint, betas, card_u=args.card_u,
                      restarts=args.restarts, seed=seed, unit=args.unit)
     lines = ["beta,i_ux,i_uy,lagrangian,converged"]
@@ -356,6 +373,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except _CliFailure as exc:
         sys.stderr.write(f"error: {exc}\n")

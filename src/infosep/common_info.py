@@ -6,10 +6,11 @@ Deterministic common part (Gacs-Korner): the largest random variable that
 both coordinates determine almost surely.  Spectrally, each dependence mode
 with singular value exactly 1 carries a pair of features with f(X) = g(Y)
 almost surely; grouping symbols by the unit-mode feature vectors yields the
-common alphabet and the value is its entropy.  An independent support-graph
-construction (`gk_via_components`) computes the same object from connected
-components of the bipartite support and is used to cross-check the spectral
-route.
+common alphabet and the value is its entropy.  A support-graph construction
+(`gk_via_components`) computes the same object from connected components of
+the bipartite support.  It builds its graph without the spectrum, so it
+cross-checks the spectral route, though both label components with the one
+labeller in `_grouping`.
 
 Stochastic common information (Wyner): the least I(W; X, Y) over auxiliary
 variables W making X and Y conditionally independent.  `wyner_solve`
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grouping import UnionFind, group_rows
+from ._grouping import group_rows, label_components
 from .dist import (
     LN2,
     ConditionalKernel,
@@ -119,23 +120,14 @@ def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:
     """Deterministic common part from the bipartite support graph.
 
     Connects x and y symbols whenever P(x, y) > 0; the connected components
-    are exactly the common symbols.  Independent of the spectral route and
-    used to cross-check it.
+    are exactly the common symbols.  The graph is built without the
+    spectrum, so this cross-checks the spectral route.
     """
-    uf = UnionFind(j.nx + j.ny)
     xs, ys = np.nonzero(j.p > 0.0)
-    for x, y in zip(xs, ys):
-        uf.union(int(x), j.nx + int(y))
-    roots: dict[int, int] = {}
-    labels = np.empty(j.nx + j.ny, dtype=np.int64)
-    for i in range(j.nx + j.ny):
-        root = uf.find(i)
-        if root not in roots:
-            roots[root] = len(roots)
-        labels[i] = roots[root]
+    labels = label_components(j.nx + j.ny, xs, j.nx + ys)
     labels_x = labels[:j.nx]
     labels_y = labels[j.nx:]
-    n_classes = len(roots)
+    n_classes = int(labels.max()) + 1
     px, _ = marginals(j)
     return GkResult(
         value=_entropy_of_classes(px, labels_x, n_classes, unit),
@@ -239,7 +231,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 restarts: int = 10, max_iters: int = 1000,
                 residual_tol: float = 1e-6, seed: int = 0,
                 unit: str = "bits") -> WynerResult:
-    """Upper estimate of the Wyner common information.
+    """Penalty-method estimate of the Wyner common information.
 
     Runs the penalty-schedule descent from two deterministic starts (W a
     copy of X and W a copy of Y, both exactly feasible when the auxiliary
@@ -248,8 +240,10 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     smallest value wins, ties broken by start index; if none is feasible the
     run with the smallest residual is returned with ``converged=False``.
 
-    The returned value always upper-bounds I(X;Y) minus the residual, so it
-    is a usable estimate even for unconverged runs.
+    The finite penalty weights bias the value low: it can fall slightly
+    below the true common information (on DSBS(0.1), 0.8726099 bits against
+    the closed form 0.8727606).  Value plus residual always bounds I(X;Y)
+    from above, so the value is usable even for unconverged runs.
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny

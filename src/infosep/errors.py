@@ -33,14 +33,5 @@ class InsufficientStatistic(InfosepError):
     """Symbol maps fail the sufficiency test required by the operation."""
 
 
-class NotConverged(InfosepError):
-    """An iterative solver failed to meet its tolerance.
-
-    Solvers normally report failure through a ``converged`` flag on their
-    result object instead of raising; this type exists for callers that
-    want to escalate such a result into an exception.
-    """
-
-
 class NoFeasiblePoint(InfosepError):
     """Exhaustive search found no parameter point matching the target."""

@@ -71,6 +71,14 @@ class TestMeasures:
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"p": [[0.9, -0.4], [0.25, 0.25]]}))
         assert main(["measures", str(path)]) == EXIT_PARSE
+        path.write_text(json.dumps({"p": [[0.5, -1e-17], [0.25, 0.25]]}))
+        assert main(["measures", str(path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
+    def test_bad_beta_flag(self, capsys, dsbs_file, beta):
+        assert main(["measures", dsbs_file, f"--beta={beta}"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --beta") and err.count("\n") == 1
 
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
@@ -288,3 +296,25 @@ class TestIbSweep:
         assert main(["ib-sweep", dsbs_file,
                      "--beta-grid", "a,b"]) == EXIT_PARSE
         assert main(["ib-sweep", dsbs_file, "--beta-grid", ","]) == EXIT_PARSE
+
+    def test_nonpositive_grid(self, capsys, dsbs_file):
+        assert main(["ib-sweep", dsbs_file,
+                     "--beta-grid=-1,2"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --beta-grid") and err.count("\n") == 1
+        assert main(["ib-sweep", dsbs_file, "--beta-grid", "0"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["measures", "verify", "ib-sweep"])
+def test_negative_restarts(capsys, dsbs_file, command):
+    assert main([command, dsbs_file, "--restarts", "-3"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: --restarts must be non-negative, got -3\n"
+
+
+def test_negative_seed(capsys, dsbs_file, monkeypatch):
+    assert main(["measures", dsbs_file, "--seed", "-1"]) == EXIT_PARSE
+    monkeypatch.setenv("INFOSEP_SEED", "-1")
+    assert main(["ib-sweep", dsbs_file]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n" * 2

@@ -125,6 +125,18 @@ class TestComponentOracle:
         assert r.component_count == 2
         assert r.value.value == 1.0
 
+    def test_multi_hop_component_first_occurrence_labels(self):
+        # x0-y1-x2-y3 and x1-y0-x3-y2 are two paths of three hops; x0 and y0
+        # lie in different components
+        p = np.zeros((4, 4))
+        for x, y in [(0, 1), (2, 1), (2, 3), (1, 0), (3, 0), (3, 2)]:
+            p[x, y] = 1.0 / 6.0
+        r = gk_via_components(JointDistribution(p))
+        assert r.component_count == 2
+        assert r.common_map_x.assignment.tolist() == [0, 1, 0, 1]
+        assert r.common_map_y.assignment.tolist() == [1, 0, 1, 0]
+        assert r.value.value == pytest.approx(1.0, abs=1e-12)
+
     def test_three_block_masses(self):
         j = block_joint([0.5, 0.25, 0.25], [(2, 2), (1, 2), (2, 1)], seed=6)
         r = gk_via_components(j)
