@@ -34,7 +34,9 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     Merging is closed under chaining (a~b and b~c put a, c in one class even
     when a and c differ by more than `tol`).  Class labels are assigned in
     order of first occurrence, so the labeling is deterministic.  Zero-width
-    rows are all identical and form one class.
+    rows are all identical and form one class.  Memory stays O(n * width):
+    whenever more than ``64 * n`` edges are stored they are replaced by a
+    spanning forest of their components.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -42,10 +44,21 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     n = rows.shape[0]
     heads = [np.empty(0, dtype=np.int64)]
     tails = [np.empty(0, dtype=np.int64)]
+    stored = 0
     for r in range(n - 1):
         # one row against all later rows keeps memory at O(n * width)
         gap = np.max(np.abs(rows[r + 1:] - rows[r]), axis=1, initial=0.0)
         near = r + 1 + np.flatnonzero(gap <= tol)
         heads.append(np.full(near.size, r))
         tails.append(near)
+        stored += near.size
+        if stored > 64 * n:
+            # many coinciding rows: keep one edge per vertex to its
+            # component's first vertex, which leaves the components as-is
+            labels = label_components(n, np.concatenate(heads),
+                                      np.concatenate(tails))
+            _, first = np.unique(labels, return_index=True)
+            tails = [np.flatnonzero(first[labels] != np.arange(n))]
+            heads = [first[labels[tails[0]]]]
+            stored = tails[0].size
     return label_components(n, np.concatenate(heads), np.concatenate(tails))

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``measures``  -- entropies, mutual information, f-informations, spectrum,
-  common-information estimates for one input distribution;
+  common-information estimates for one input distribution; all but the
+  entropies are computed on its minimal sufficient reduction;
 * ``reduce``    -- minimal sufficient maps and the reduced distribution;
 * ``verify``    -- separability battery for given maps or an auto-refined
   instance;
@@ -14,8 +15,9 @@ headerless CSV matrices.  Reports are JSON with sorted keys and numbers
 rounded to 12 significant digits, so identical input, configuration and
 seed reproduce a report byte for byte except for the timestamp field.
 
-Exit codes: 0 success, 2 unreadable or unparseable input or a bad flag
-value, 3 output write failure, 4 verification failed.
+Exit codes: 0 success, 2 unreadable or unparseable input, a bad flag value
+or a solver size above the limit, 3 output write failure, 4 verification
+failed.
 """
 
 from __future__ import annotations
@@ -160,6 +162,9 @@ def _check_flags(args) -> None:
         _fail(EXIT_PARSE, f"--restarts must be non-negative, got {args.restarts}")
     for beta in getattr(args, "beta", None) or ():
         _check_beta("--beta", beta)
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        _fail(EXIT_PARSE, f"--tol must be non-negative and finite, got {tol:g}")
 
 
 def _timestamp() -> str:
@@ -183,14 +188,21 @@ def _cmd_measures(args) -> int:
     unit = args.unit
     betas = args.beta or [1.5, 2.0, 5.0]
     px, py = marginals(joint)
-    md = modal_decompose(joint)
-    gk = gacs_korner(joint, unit=unit)
+    # Every measure below except the entropies is invariant under sufficient
+    # maps, so it is computed on the minimal sufficient alphabet.
+    s, t = minimal_sufficient_maps(joint)
+    try:
+        red = reduce_joint(joint, s, t, strict=True)
+    except InsufficientStatistic:
+        red = joint
+    md = modal_decompose(red)
+    gk = gacs_korner(red, unit=unit)
     tol_bits = args.tol if unit == "bits" else args.tol / LN2
-    wyner = wyner_solve(joint, card_w=args.wyner_card, restarts=args.restarts,
+    wyner = wyner_solve(red, card_w=args.wyner_card, restarts=args.restarts,
                         residual_tol=tol_bits, seed=seed, unit=unit)
     ib_block = {}
     for beta in betas:
-        sol = ib_fixed_point(joint, beta, restarts=args.restarts, seed=seed,
+        sol = ib_fixed_point(red, beta, restarts=args.restarts, seed=seed,
                              unit=unit)
         ib_block[f"{beta:g}"] = {
             "lagrangian": sol.lagrangian.value,
@@ -199,13 +211,14 @@ def _cmd_measures(args) -> int:
             "converged": sol.converged,
         }
     doc = _base_doc(args, args.input, digest, joint, seed)
+    doc["input"].update(reduced_nx=red.nx, reduced_ny=red.ny)
     doc["config"] = {"restarts": args.restarts, "betas": list(betas),
                      "tol": args.tol, "wyner_card": args.wyner_card}
     doc["measures"] = {
         "h_x": entropy(px, unit).value,
         "h_y": entropy(py, unit).value,
-        "mi": mutual_information(joint, unit).value,
-        "f_info": {name: f_information(joint, gen, unit).value
+        "mi": mutual_information(red, unit).value,
+        "f_info": {name: f_information(red, gen, unit).value
                    for name, gen in BUILTIN_GENERATORS.items()},
         "sigmas": [float(s) for s in md.sigmas],
         "gk": {"value": gk.value.value, "k": gk.k,
@@ -269,12 +282,7 @@ def _cmd_verify(args) -> int:
         s, t = minimal_sufficient_maps(joint)
     cfg = SolverConfig(seed=seed, restarts=args.restarts, unit=args.unit,
                        wyner_card=args.wyner_card)
-    try:
-        report = verify_separability(target, s, t, config=cfg,
-                                     strict=args.strict)
-    except InfosepError as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return EXIT_VERIFY
+    report = verify_separability(target, s, t, config=cfg, strict=args.strict)
     doc = _base_doc(args, args.input, digest, target, seed)
     doc["config"] = {"restarts": args.restarts,
                      "auto_refine": list(args.auto_refine) if args.auto_refine else None,
@@ -334,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="feasibility tolerance for the relaxation solver, "
                         "in the report unit")
-    p.add_argument("--wyner-card", type=int, default=None)
+    p.add_argument("--wyner-card", type=int, default=None,
+                   help="Wyner auxiliary cardinality on the reduced alphabet "
+                        "(default: reduced nx*ny)")
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=_cmd_measures)
 

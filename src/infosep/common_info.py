@@ -30,6 +30,7 @@ import numpy as np
 from ._grouping import group_rows, label_components
 from .dist import (
     LN2,
+    MAX_SOLVER_ENTRIES,
     ConditionalKernel,
     DeterministicMap,
     InfoValue,
@@ -244,11 +245,19 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     below the true common information (on DSBS(0.1), 0.8726099 bits against
     the closed form 0.8727606).  Value plus residual always bounds I(X;Y)
     from above, so the value is usable even for unconverged runs.
+
+    Raises `DimensionError` before allocating when the kernel would hold
+    more than ``MAX_SOLVER_ENTRIES`` (``nx * ny * card_w``) entries.
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny
     if card < 1:
         raise DimensionError("card_w must be at least 1")
+    if nx * ny * card > MAX_SOLVER_ENTRIES:
+        raise DimensionError(
+            f"Wyner kernel of {nx}x{ny} cells by {card} auxiliary symbols "
+            f"exceeds {MAX_SOLVER_ENTRIES} entries; lower card_w "
+            f"(--wyner-card) or reduce the input")
     pxy_flat = j.p.ravel()
     rng = np.random.default_rng(seed)
 

@@ -37,6 +37,8 @@ MASS_TOL = 1e-9
 ROW_TOL = 1e-12
 #: information values in [-NEG_TOL, 0) are clamped to zero
 NEG_TOL = 1e-12
+#: the solvers refuse work arrays with more float64 entries than this (32 MiB)
+MAX_SOLVER_ENTRIES = 2**22
 
 _UNITS = ("bits", "nats")
 

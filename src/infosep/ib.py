@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
+    MAX_SOLVER_ENTRIES,
     ConditionalKernel,
     InfoValue,
     JointDistribution,
@@ -124,6 +125,8 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
     broken by start index.  ``converged`` reflects the winning run.  For
     beta <= 1 the constant variable is returned immediately (Lagrangian 0).
+    Raises `DimensionError` when the iteration's ``nx * card_u * ny`` array
+    would exceed ``MAX_SOLVER_ENTRIES`` entries.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -131,6 +134,11 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     card = int(card_u) if card_u is not None else nx + 1
     if card < 1:
         raise DimensionError("card_u must be at least 1")
+    if nx * card * j.ny > MAX_SOLVER_ENTRIES:
+        raise DimensionError(
+            f"bottleneck iteration over {nx} x {card} x {j.ny} entries "
+            f"exceeds {MAX_SOLVER_ENTRIES}; lower card_u (--card-u) or "
+            f"reduce the input")
     if beta <= 1.0:
         q = np.zeros((nx, card))
         q[:, 0] = 1.0

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import infosep.cli
 from infosep.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from infosep.common_info import gacs_korner, wyner_solve
+from infosep.dist import DeterministicMap, mutual_information
+from infosep.finfo import BUILTIN_GENERATORS, f_information
+from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
+from infosep.ib import ib_fixed_point
+from infosep.modal import modal_decompose
 
 DSBS01 = [[0.45, 0.05], [0.05, 0.45]]
 
@@ -79,6 +86,20 @@ class TestMeasures:
         assert main(["measures", dsbs_file, f"--beta={beta}"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: --beta") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_flag(self, capsys, tmp_path, tol):
+        missing = str(tmp_path / "never-read.json")
+        assert main(["measures", missing, f"--tol={tol}"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+
+    def test_solver_size_limit(self, capsys, tmp_path):
+        path = _write(tmp_path, "big.json", random_joint(100, 100, seed=0).p)
+        assert main(["measures", path, "--restarts", "0"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--wyner-card" in err
 
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
@@ -159,6 +180,91 @@ class TestMeasures:
         assert bits["measures"]["f_info"]["chi2"] == (
             nats["measures"]["f_info"]["chi2"])
         assert bits["measures"]["sigmas"] == nats["measures"]["sigmas"]
+
+
+def _write(tmp_path, name, p):
+    path = tmp_path / name
+    path.write_text(json.dumps({"p": np.asarray(p).tolist()}))
+    return str(path)
+
+
+def _assert_close(a, b, tol, where="measures"):
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), where
+        for key in a:
+            _assert_close(a[key], b[key], tol, f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for k, (u, v) in enumerate(zip(a, b)):
+            _assert_close(u, v, tol, f"{where}[{k}]")
+    elif isinstance(a, float):
+        assert a == pytest.approx(b, abs=tol), where
+    else:
+        assert a == b, where
+
+
+class TestReduceFirst:
+    """`measures` solves on the minimal sufficient alphabet."""
+
+    ARGS = ["--restarts", "2", "--seed", "0"]
+
+    @pytest.mark.parametrize("base", [dsbs(0.1), random_joint(3, 3, seed=0)],
+                             ids=["dsbs0.1", "random3x3"])
+    def test_refinement_reports_base_measures(self, capsys, tmp_path, base):
+        refined, _, _ = refine_embedding(random_refinement(base, 8, 7, seed=4))
+        _, doc_base = run_json(capsys, [
+            "measures", _write(tmp_path, "base.json", base.p), *self.ARGS])
+        code, doc = run_json(capsys, [
+            "measures", _write(tmp_path, "refined.json", refined.p), *self.ARGS])
+        assert code == EXIT_OK
+        assert (doc["input"]["nx"], doc["input"]["ny"]) == (8, 7)
+        assert (doc["input"]["reduced_nx"], doc["input"]["reduced_ny"]) == (
+            base.nx, base.ny)
+        assert doc["measures"]["wyner"]["card_w"] == base.nx * base.ny
+        for doc_ in (doc_base, doc):
+            del doc_["measures"]["h_x"], doc_["measures"]["h_y"]
+        _assert_close(doc["measures"], doc_base["measures"], 1e-9)
+
+    def test_wyner_card_applies_to_reduced_alphabet(self, capsys, tmp_path):
+        refined, _, _ = refine_embedding(random_refinement(dsbs(0.1), 4, 4, seed=3))
+        _, doc = run_json(capsys, [
+            "measures", _write(tmp_path, "refined.json", refined.p),
+            "--restarts", "0", "--wyner-card", "3", "--beta", "2"])
+        assert doc["measures"]["wyner"]["card_w"] == 3
+
+    def test_lossy_maps_fall_back_to_raw_solve(self, capsys, tmp_path,
+                                               monkeypatch, rowdup_file):
+        def constant_maps(joint):
+            return (DeterministicMap.constant(joint.nx),
+                    DeterministicMap.constant(joint.ny))
+
+        monkeypatch.setattr(infosep.cli, "minimal_sufficient_maps", constant_maps)
+        betas = (1.5, 2.0, 5.0)
+        code, doc = run_json(capsys, ["measures", rowdup_file, *self.ARGS])
+        assert code == EXIT_OK
+        joint, _ = infosep.cli._load_distribution(rowdup_file)
+        assert (doc["input"]["reduced_nx"], doc["input"]["reduced_ny"]) == (3, 2)
+        gk = gacs_korner(joint)
+        wyner = wyner_solve(joint, restarts=2, seed=0)
+        ibs = {b: ib_fixed_point(joint, b, restarts=2, seed=0) for b in betas}
+        raw = {
+            "mi": mutual_information(joint).value,
+            "f_info": {name: f_information(joint, gen).value
+                       for name, gen in BUILTIN_GENERATORS.items()},
+            "sigmas": [float(v) for v in modal_decompose(joint).sigmas],
+            "gk": {"value": gk.value.value, "k": gk.k,
+                   "component_count": gk.component_count},
+            "wyner": {"value": wyner.value.value,
+                      "residual": wyner.markov_residual.value,
+                      "converged": wyner.converged, "card_w": wyner.card_w},
+            "ib": {f"{b:g}": {"lagrangian": sol.lagrangian.value,
+                              "i_ux": sol.i_ux.value, "i_uy": sol.i_uy.value,
+                              "converged": sol.converged}
+                   for b, sol in ibs.items()},
+        }
+        assert wyner.card_w == 6
+        del doc["measures"]["h_x"], doc["measures"]["h_y"]
+        _assert_close(doc["measures"], raw, 1e-11)
 
 
 class TestReduce:
@@ -254,6 +360,16 @@ class TestVerify:
         assert rep["overall"] is True
         assert rep["sufficient"] is True
         assert any(r["measure"] == "wyner" for r in rep["rows"])
+
+    def test_solver_size_limit_is_not_a_failed_verification(self, capsys,
+                                                              tmp_path):
+        path = _write(tmp_path, "big.json", random_joint(46, 46, seed=0).p)
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps({"s": list(range(46)), "t": list(range(46))}))
+        assert main(["verify", path, "--maps", str(maps),
+                     "--restarts", "0"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--wyner-card" in err
 
     def test_bad_maps_file(self, dsbs_file, tmp_path):
         maps = tmp_path / "maps.json"

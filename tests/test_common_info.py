@@ -10,15 +10,18 @@ from infosep.common_info import (
     wyner_solve,
 )
 from infosep.dist import (
+    DeterministicMap,
     JointDistribution,
+    conditional_mutual_information,
     entropy,
+    lift_conditional,
     marginals,
     mutual_information,
     pushforward,
 )
-from infosep.errors import NoFeasiblePoint
-from infosep.harness import random_joint, random_refinement, refine_embedding
-from infosep.modal import reduce_joint
+from infosep.errors import DimensionError, NoFeasiblePoint
+from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
+from infosep.modal import minimal_sufficient_maps, reduce_joint
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -221,6 +224,27 @@ class TestWynerSolve:
         ra = wyner_solve(refined, card_w=4, restarts=6, seed=0)
         rb = wyner_solve(base, restarts=6, seed=0)
         assert abs(float(ra.value) - float(rb.value)) <= 5e-3
+
+    def test_reduced_kernel_lifts_to_raw_cells(self):
+        raw, _, _ = refine_embedding(random_refinement(dsbs(0.1), 8, 7, seed=4))
+        s, t = minimal_sufficient_maps(raw)
+        red = reduce_joint(raw, s, t, strict=True)
+        r = wyner_solve(red, restarts=2, seed=0)
+        cells = DeterministicMap(
+            (s.assignment[:, None] * red.ny + t.assignment[None, :]).ravel(),
+            red.nx * red.ny)
+        q = lift_conditional(r.kernel, cells).k
+        pxyw = raw.p.ravel()[:, None] * q
+        i_w_xy = mutual_information(JointDistribution(pxyw)).value
+        i_xy_w = conditional_mutual_information(
+            pxyw.reshape(raw.nx, raw.ny, r.card_w)).value
+        assert i_w_xy == pytest.approx(r.value.value, abs=1e-9)
+        assert i_xy_w == pytest.approx(r.markov_residual.value, abs=1e-9)
+
+    def test_size_limit_raises_before_solving(self):
+        j = random_joint(2, 3, seed=0)
+        with pytest.raises(DimensionError, match="--wyner-card"):
+            wyner_solve(j, card_w=2**22 // 6 + 1, restarts=0)
 
 
 class TestWynerGridOracle:

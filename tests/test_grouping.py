@@ -1,5 +1,7 @@
 """Symbol grouping: closeness under chaining and first-occurrence labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,21 @@ def test_zero_width_rows_form_one_class():
 def test_rejects_non_2d_input(bad):
     with pytest.raises(ValueError, match="2-d array"):
         group_rows(bad, 1e-10)
+
+
+def test_memory_stays_bounded_when_all_rows_coincide():
+    rows = np.zeros((3000, 1))
+    tracemalloc.start()
+    try:
+        labels = group_rows(rows, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.tolist() == [0] * 3000
+    assert peak < 32 * 2**20
+
+
+def test_edge_collapse_keeps_labels():
+    # 1500 copies each of two rows: the edge set is collapsed many times
+    rows = np.tile([[0.0, 1.0], [1.0, 0.0]], (1500, 1))
+    assert group_rows(rows, 1e-10).tolist() == [0, 1] * 1500

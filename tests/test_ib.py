@@ -119,6 +119,10 @@ class TestFixedPoint:
         with pytest.raises(DimensionError):
             ib_fixed_point(dsbs01, 2.0, card_u=0)
 
+    def test_size_limit_raises_before_solving(self, dsbs01):
+        with pytest.raises(DimensionError, match="--card-u"):
+            ib_fixed_point(dsbs01, 2.0, card_u=2**20 + 1, restarts=0)
+
     def test_lagrangian_invariance_under_refinement(self):
         base = random_joint(2, 2, alpha=2.0, seed=31)
         refined, s, t = refine_embedding(random_refinement(base, 4, 4, seed=31))

@@ -1,15 +1,19 @@
 """Dependence kernel, modal decomposition, and sufficiency machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from infosep.dist import (
     DeterministicMap,
     JointDistribution,
+    conditional_mutual_information,
     marginals,
     mutual_information,
 )
 from infosep.errors import InconsistentDecomposition, InsufficientStatistic
+from infosep.harness import random_joint
 from infosep.modal import (
     cdk_matrix,
     check_sufficiency,
@@ -235,6 +239,34 @@ class TestCheckSufficiency:
         assert v.max_ratio_gap <= 1e-12
         assert float(v.cmi_s) <= 1e-10
         assert float(v.cmi_t) <= 1e-10
+
+    def test_cmi_matches_trivariate_reference(self):
+        def cube_cmi(j, mapping, axis):
+            xs, ys = np.meshgrid(np.arange(j.nx), np.arange(j.ny), indexing="ij")
+            cube = np.zeros((j.nx, j.ny, mapping.image_size))
+            cube[xs, ys, mapping.assignment[xs if axis == 0 else ys]] = j.p
+            return conditional_mutual_information(cube).value
+
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            j = random_joint(5, 4, seed=seed)
+            s = DeterministicMap(np.unique(rng.integers(0, 3, 5), return_inverse=True)[1])
+            t = DeterministicMap(np.unique(rng.integers(0, 2, 4), return_inverse=True)[1])
+            v = check_sufficiency(j, s, t)
+            assert v.cmi_s == pytest.approx(cube_cmi(j, s, 0), abs=1e-12)
+            assert v.cmi_t == pytest.approx(cube_cmi(j, t, 1), abs=1e-12)
+
+    def test_memory_linear_in_table_size(self):
+        j = random_joint(300, 300, seed=0)
+        ident = DeterministicMap.identity(300)
+        tracemalloc.start()
+        try:
+            v = check_sufficiency(j, ident, ident)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.sufficient
+        assert peak < 16 * 2**20  # the (x, y, label) cube alone is 206 MiB
 
 
 class TestReduceJoint:
