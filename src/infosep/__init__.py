@@ -39,7 +39,6 @@ from .finfo import (
     BUILTIN_GENERATORS,
     FGenerator,
     f_information,
-    f_information_invariance_check,
     get_generator,
 )
 from .modal import (

@@ -252,10 +252,7 @@ def _cmd_reduce(args) -> int:
     if args.out is None and args.maps_out is None:
         _emit_json({"reduced": dist_doc, "maps": maps_doc}, None)
         return EXIT_OK
-    if args.out is not None:
-        _emit_json(dist_doc, args.out)
-    else:
-        _emit_json(dist_doc, None)
+    _emit_json(dist_doc, args.out)
     maps_out = args.maps_out
     if maps_out is None and args.out is not None:
         root, _ext = os.path.splitext(args.out)

@@ -156,26 +156,27 @@ class WynerResult:
     converged: bool
 
 
-def _wyner_eval(q, pxy_flat, nx, ny, lam):
+def _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, lam):
     """Objective parts (nats) and the row-scaled gradient.
 
-    Returns (I(W;XY), I(X;Y|W), grad); rows of zero-probability cells get a
-    zero gradient since their kernel entries are irrelevant.
+    ``ln_pxy`` is the column of log P(x, y), 0 off the support, and
+    ``support`` the matching 0/1 column.  The kernel is floored at
+    ``KERNEL_FLOOR``, so every log here is finite and a cell off the support
+    adds nothing to either sum.  Returns (I(W;XY), I(X;Y|W), grad); rows of
+    zero-probability cells get a zero gradient since their kernel entries
+    are irrelevant.
     """
-    pw = pxy_flat @ q
     pj = pxy_flat[:, None] * q
     cube = pj.reshape(nx, ny, -1)
-    pxw = cube.sum(axis=1)
-    pyw = cube.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr1 = np.log(q) - np.log(pw)[None, :]
-        lr2 = (np.log(cube) + np.log(pw)[None, None, :]
-               - np.log(pxw)[:, None, :] - np.log(pyw)[None, :, :])
-        value = float(np.where(pj > 0.0, pj * lr1, 0.0).sum())
-        resid = float(np.where(cube > 0.0, cube * lr2, 0.0).sum())
-        g = lr1 + lam * lr2.reshape(q.shape[0], -1)
-        grad = np.where(pxy_flat[:, None] > 0.0, g, 0.0)
-    return value, resid, grad
+    lnq = np.log(q)
+    ln_pw = np.log(pxy_flat @ q)
+    lr1 = lnq - ln_pw
+    lr2 = ((ln_pxy + lnq).reshape(cube.shape) + ln_pw
+           - np.log(cube.sum(axis=1))[:, None, :]
+           - np.log(cube.sum(axis=0))[None, :, :]).reshape(q.shape)
+    value = float((pj * lr1).sum())
+    resid = float((pj * lr2).sum())
+    return value, resid, (lr1 + lam * lr2) * support
 
 
 def _renormalize(q):
@@ -183,7 +184,8 @@ def _renormalize(q):
     return q / q.sum(axis=1, keepdims=True)
 
 
-def _wyner_stage(q, pxy_flat, nx, ny, lam, max_iters, step_tol=1e-10):
+def _wyner_stage(q, pxy_flat, ln_pxy, support, nx, ny, lam, max_iters,
+                 step_tol=1e-10):
     """Exponentiated-gradient descent at one fixed penalty weight.
 
     Steps are accepted only when the objective does not increase, with the
@@ -194,7 +196,7 @@ def _wyner_stage(q, pxy_flat, nx, ny, lam, max_iters, step_tol=1e-10):
     gradient into the next iteration, so each trial step costs one
     evaluation.
     """
-    value, resid, g = _wyner_eval(q, pxy_flat, nx, ny, lam)
+    value, resid, g = _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, lam)
     f_cur = value + lam * resid
     eta = 0.5
     stalled = 0
@@ -204,7 +206,7 @@ def _wyner_stage(q, pxy_flat, nx, ny, lam, max_iters, step_tol=1e-10):
             lnq = np.log(q) - eta * g
             lnq -= logsumexp(lnq)
             qn = _renormalize(np.exp(lnq))
-            value, resid, gn = _wyner_eval(qn, pxy_flat, nx, ny, lam)
+            value, resid, gn = _wyner_eval(qn, pxy_flat, ln_pxy, support, nx, ny, lam)
             f_new = value + lam * resid
             if f_new <= f_cur + 1e-12:
                 accepted = True
@@ -259,6 +261,9 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
             f"exceeds {MAX_SOLVER_ENTRIES} entries; lower card_w "
             f"(--wyner-card) or reduce the input")
     pxy_flat = j.p.ravel()
+    support = (pxy_flat > 0.0)[:, None].astype(float)
+    ln_pxy = np.log(pxy_flat, out=np.zeros_like(pxy_flat),
+                    where=pxy_flat > 0.0)[:, None]
     rng = np.random.default_rng(seed)
 
     inits = []
@@ -291,8 +296,9 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 noise = run_rng.standard_normal(q.shape)
                 q = _renormalize(q * np.exp(1e-3 * noise))
             tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q = _wyner_stage(q, pxy_flat, nx, ny, lam, max_iters, step_tol=tol)
-        value, resid, _ = _wyner_eval(q, pxy_flat, nx, ny, 0.0)
+            q = _wyner_stage(q, pxy_flat, ln_pxy, support, nx, ny, lam,
+                             max_iters, step_tol=tol)
+        value, resid, _ = _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, 0.0)
         runs.append((value, max(resid, 0.0), q, idx))
 
     feasible = [r for r in runs if r[1] <= resid_limit]

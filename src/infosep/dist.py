@@ -9,7 +9,10 @@ Conventions:
 * information sums are accumulated in nats internally and converted at the
   boundary; :class:`InfoValue` carries its unit ("bits" by default);
 * terms with zero probability contribute nothing to any sum, matching the
-  continuity limit ``0 * log(0) = 0``;
+  continuity limit ``0 * log(0) = 0``.  :func:`rel_entr` owns this rule
+  for every ``sum a * log(a / b)`` in the package, except the Wyner
+  objective, whose floored kernel keeps every log finite, and the Wyner
+  grid oracle, which keeps its own sum as an independent reference;
 * a :class:`JointDistribution` always has strictly positive marginals.
   Raw nonnegative weight matrices (counts, unnormalized tables, tables
   with dead symbols) enter through :func:`validate_and_trim`.
@@ -273,14 +276,31 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     """Row-wise ``log(sum(exp(a)))`` of a 2-D array, as a column.
 
     Each row is shifted by its maximum before exponentiating; a row that is
-    all ``-inf`` gives ``-inf``.  Same values as
-    ``scipy.special.logsumexp(a, axis=1, keepdims=True)`` without its
-    per-call dispatch cost, which dominates on the solvers' small matrices.
+    all ``-inf`` gives ``-inf``.  Same values as SciPy's
+    ``logsumexp(a, axis=1, keepdims=True)`` without its per-call dispatch
+    cost, which dominates on the solvers' small matrices.
     """
     m = a.max(axis=1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - m).sum(axis=1, keepdims=True)) + m
+
+
+def rel_entr(a, b) -> np.ndarray:
+    """Elementwise ``a * log(a / b)`` in nats, broadcasting ``a`` against ``b``.
+
+    For nonnegative inputs: a term with ``a == 0`` is 0 and a term with
+    ``a > 0 == b`` is ``+inf``, as in SciPy's ``rel_entr``.  Unlike SciPy,
+    a ratio ``a / b`` that overflows (``b`` subnormal) gives ``+inf``,
+    silently.  SciPy is not imported: its import costs memory and start-up
+    time that nothing else here needs.
+    """
+    a = np.asarray(a, dtype=float)
+    pos = a > 0.0
+    ratio = np.ones(np.broadcast_shapes(a.shape, np.shape(b)))
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(a, b, out=ratio, where=pos)
+        return a * np.log(ratio)
 
 
 def entropy(dist, unit: str = "bits") -> InfoValue:
@@ -290,19 +310,13 @@ def entropy(dist, unit: str = "bits") -> InfoValue:
     if abs(total - 1.0) > MASS_TOL:
         raise InvalidDistribution(
             f"distribution mass {total!r} not within {MASS_TOL:g} of 1")
-    q = q / total
-    pos = q > 0.0
-    h = -float(np.sum(q[pos] * np.log(q[pos])))
-    return info_from_nats(h, unit)
+    return info_from_nats(-float(rel_entr(q / total, 1.0).sum()), unit)
 
 
 def mutual_information(j: JointDistribution, unit: str = "bits") -> InfoValue:
     """Mutual information between the two coordinates of a joint pmf."""
     px, py = marginals(j)
-    denom = np.outer(px, py)
-    pos = j.p > 0.0
-    mi = float(np.sum(j.p[pos] * np.log(j.p[pos] / denom[pos])))
-    return info_from_nats(mi, unit)
+    return info_from_nats(float(rel_entr(j.p, np.outer(px, py)).sum()), unit)
 
 
 def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
@@ -310,7 +324,8 @@ def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
 
     The array is validated like a joint distribution (nonnegative entries,
     total mass within ``MASS_TOL`` of 1) but zero-mass slices are fine:
-    they simply contribute nothing.
+    they simply contribute nothing.  Computed by the chain rule
+    ``I(A;B|C) = I(A;BC) - I(A;C)``.
     """
     q = _as_float_array(joint3, "trivariate joint")
     if q.ndim != 3:
@@ -320,14 +335,11 @@ def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
         raise InvalidDistribution(
             f"trivariate mass {total!r} not within {MASS_TOL:g} of 1")
     q = q / total
-    pc = q.sum(axis=(0, 1))
+    pa = q.sum(axis=(1, 2))
     pac = q.sum(axis=1)
-    pbc = q.sum(axis=0)
-    num = q * pc[None, None, :]
-    den = pac[:, None, :] * pbc[None, :, :]
-    pos = q > 0.0
-    cmi = float(np.sum(q[pos] * np.log(num[pos] / den[pos])))
-    return info_from_nats(cmi, unit)
+    i_a_bc = rel_entr(q, pa[:, None, None] * q.sum(axis=0)).sum()
+    i_a_c = rel_entr(pac, np.outer(pa, pac.sum(axis=0))).sum()
+    return info_from_nats(float(i_a_bc - i_a_c), unit)
 
 
 def _pushforward_labels(labels, mapping: DeterministicMap):

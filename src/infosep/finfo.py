@@ -18,7 +18,7 @@ unchanged whatever unit is requested.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
 
@@ -30,10 +30,8 @@ from .dist import (
     JointDistribution,
     info_from_nats,
     marginals,
-    pushforward,
 )
-from .errors import InsufficientStatistic, InvalidGenerator
-from .modal import check_sufficiency
+from .errors import InvalidGenerator
 
 #: f(1) must vanish within this tolerance
 GEN_ONE_TOL = 1e-12
@@ -126,39 +124,3 @@ def f_information(j: JointDistribution, generator,
         total = 0.0
     return InfoValue(total, unit)
 
-
-@dataclass(frozen=True)
-class FInvarianceReport:
-    """Per-generator gaps between an f-information and its reduced version."""
-
-    gaps: dict = field(default_factory=dict)
-    tol: float = 1e-9
-    passed: bool = True
-
-
-def f_information_invariance_check(j: JointDistribution, s, t,
-                                   generators=None, tol: float = 1e-9,
-                                   unit: str = "bits",
-                                   sufficiency_tol: float = 1e-9) -> FInvarianceReport:
-    """Verify that reduction through sufficient maps preserves f-information.
-
-    Raises :class:`InsufficientStatistic` when (s, t) fail the sufficiency
-    test for ``j``; otherwise reports |I_f(X;Y) - I_f(s(X);t(Y))| for each
-    generator.  Two infinite values of the same sign count as a zero gap.
-    """
-    verdict = check_sufficiency(j, s, t, sufficiency_tol)
-    if not verdict.sufficient:
-        raise InsufficientStatistic(
-            f"maps are not sufficient: ratio gap {verdict.max_ratio_gap:.3e}")
-    red = pushforward(j, s, t)
-    if generators is None:
-        generators = list(BUILTIN_GENERATORS.values())
-    gaps = {}
-    for gen in generators:
-        if isinstance(gen, str):
-            gen = get_generator(gen)
-        a = f_information(j, gen, unit).value
-        b = f_information(red, gen, unit).value
-        gaps[gen.name] = 0.0 if a == b else abs(a - b)
-    return FInvarianceReport(gaps=gaps, tol=tol,
-                             passed=all(g <= tol for g in gaps.values()))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
+    LN2,
     MAX_SOLVER_ENTRIES,
     ConditionalKernel,
     InfoValue,
@@ -42,6 +43,7 @@ from .dist import (
     marginals,
     mutual_information,
     pushforward,
+    rel_entr,
 )
 from .errors import DimensionError
 from .modal import minimal_sufficient_maps
@@ -69,21 +71,14 @@ class IbSolution:
 def _ib_information(q, px, pygx, py):
     """Return (I(U;X), I(U;Y)) in nats for an encoder kernel q (nx, U)."""
     pu = px @ q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(q > 0.0, (px[:, None] * q) * (np.log(q) - np.log(pu)[None, :]),
-                      0.0)
     puy = q.T @ (px[:, None] * pygx)
-    den = pu[:, None] * py[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = np.where(puy > 0.0, puy * (np.log(puy) - np.log(den)), 0.0)
-    return float(t1.sum()), float(t2.sum())
+    iux = (px[:, None] * rel_entr(q, pu[None, :])).sum()
+    iuy = rel_entr(puy, np.outer(pu, py)).sum()
+    return float(iux), float(iuy)
 
 
 def _ib_run(q0, px, pygx, py, beta, conv_tol, max_iters):
     """One self-consistent run; returns (q, converged, lagrangian trace in nats)."""
-    nx, ny = pygx.shape
-    with np.errstate(divide="ignore"):
-        ln_pygx = np.log(pygx)
     q = q0
     iux, iuy = _ib_information(q, px, pygx, py)
     history = [iux - beta * iuy]
@@ -91,15 +86,11 @@ def _ib_run(q0, px, pygx, py, beta, conv_tol, max_iters):
     for _ in range(max_iters):
         pu = px @ q
         puy = q.T @ (px[:, None] * pygx)
-        pos_u = pu > 0.0
-        ln_pygu = np.full_like(puy, -np.inf)
-        with np.errstate(divide="ignore"):
-            ln_pygu[pos_u] = np.log(puy[pos_u]) - np.log(pu[pos_u])[:, None]
+        # P(Y|U=u), left 0 for an unused u
+        pygu = np.divide(puy, pu[:, None], out=np.zeros_like(puy),
+                         where=pu[:, None] > 0.0)
         # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
-        with np.errstate(invalid="ignore"):
-            gap = ln_pygx[:, None, :] - ln_pygu[None, :, :]
-            dist = np.sum(np.where(pygx[:, None, :] > 0.0,
-                                   pygx[:, None, :] * gap, 0.0), axis=2)
+        dist = rel_entr(pygx[:, None, :], pygu[None]).sum(axis=2)
         with np.errstate(divide="ignore"):
             lnq = np.log(pu)[None, :] - beta * dist
         lnq = lnq - logsumexp(lnq)
@@ -166,7 +157,7 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     best = min(runs, key=lambda r: (r[0], r[1]))
     lag, _, qf, conv, hist = best
     iux, iuy = _ib_information(qf, px, pygx, py)
-    factor = 1.0 if unit == "nats" else 1.0 / np.log(2.0)
+    factor = 1.0 if unit == "nats" else 1.0 / LN2
     return IbSolution(
         beta=float(beta),
         card_u=card,

@@ -22,13 +22,15 @@ from infosep.dist import (
     marginals,
     mutual_information,
 )
-from infosep.finfo import f_information, f_information_invariance_check
+from infosep.finfo import f_information
 from infosep.harness import (
+    SolverConfig,
     dsbs,
     random_joint,
     random_refinement,
     refine_embedding,
     simulate_and_estimate,
+    verify_separability,
 )
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import modal_decompose
@@ -153,11 +155,15 @@ def test_criterion_02_f_information_invariance(suite_refinement,
     t0 = time.perf_counter()
     worst = 0.0
     for _, refined, s, t in suite_refinement:
-        rep = f_information_invariance_check(refined, s, t, tol=1e-9)
-        assert rep.passed
-        finite = [g for g in rep.gaps.values() if np.isfinite(g)]
+        rep = verify_separability(refined, s, t,
+                                  measures=[f"f:{g}" for g in GENERATORS],
+                                  config=SolverConfig(exact_tol=1e-9),
+                                  strict=True)
+        assert rep.overall
+        gaps = {r.measure[2:]: r.gap for r in rep.rows}
+        finite = [g for g in gaps.values() if np.isfinite(g)]
         worst = max(worst, max(finite))
-        assert set(rep.gaps) == set(GENERATORS)
+        assert set(gaps) == set(GENERATORS)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 30.0
     _record(acceptance_log, 2, "f-information invariance", ok,

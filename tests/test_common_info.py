@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infosep.common_info import (
+    _wyner_eval,
     gacs_korner,
     gk_via_components,
     wyner_grid_oracle,
@@ -18,6 +19,7 @@ from infosep.dist import (
     marginals,
     mutual_information,
     pushforward,
+    validate_and_trim,
 )
 from infosep.errors import DimensionError, NoFeasiblePoint
 from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
@@ -245,6 +247,51 @@ class TestWynerSolve:
         j = random_joint(2, 3, seed=0)
         with pytest.raises(DimensionError, match="--wyner-card"):
             wyner_solve(j, card_w=2**22 // 6 + 1, restarts=0)
+
+
+class TestWynerEval:
+    """The penalized objective on a 3x4 table with two empty cells."""
+
+    LAM = 7.0
+
+    @pytest.fixture
+    def problem(self):
+        p = random_joint(3, 4, seed=2).p.copy()
+        p[0, 1] = p[2, 3] = 0.0
+        pxy = p.ravel() / p.sum()
+        support = (pxy > 0.0)[:, None].astype(float)
+        ln_pxy = np.log(pxy, out=np.zeros_like(pxy), where=pxy > 0.0)[:, None]
+        q = np.random.default_rng(5).dirichlet(np.ones(5), size=12)
+        return q, (pxy, ln_pxy, support, 3, 4)
+
+    def test_value_and_residual(self, problem):
+        q, args = problem
+        value, resid, _ = _wyner_eval(q, *args, self.LAM)
+        pxyw = args[0][:, None] * q
+        i_w_xy = mutual_information(validate_and_trim(pxyw), unit="nats").value
+        i_xy_w = conditional_mutual_information(
+            pxyw.reshape(3, 4, 5), unit="nats").value
+        assert value == pytest.approx(i_w_xy, abs=1e-12)
+        assert resid == pytest.approx(i_xy_w, abs=1e-12)
+
+    def test_gradient_is_scaled_central_difference(self, problem):
+        q, args = problem
+        pxy, eps = args[0], 1e-6
+        _, _, grad = _wyner_eval(q, *args, self.LAM)
+
+        def objective(qq):
+            value, resid, _ = _wyner_eval(qq, *args, self.LAM)
+            return value + self.LAM * resid
+
+        fd = np.zeros_like(q)
+        for idx in np.ndindex(*q.shape):
+            step = np.zeros_like(q)
+            step[idx] = eps
+            fd[idx] = (objective(q + step) - objective(q - step)) / (2 * eps)
+        on = pxy > 0.0
+        assert (~on).sum() == 2
+        np.testing.assert_allclose(fd[on] / pxy[on, None], grad[on], rtol=1e-5)
+        assert np.all(grad[~on] == 0.0)
 
 
 class TestWynerGridOracle:

@@ -1,10 +1,13 @@
 """Exact probability arithmetic: distributions, kernels, information values."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import rel_entr as scipy_rel_entr
 
 from infosep.dist import (
     ConditionalKernel,
@@ -20,6 +23,7 @@ from infosep.dist import (
     marginals,
     mutual_information,
     pushforward,
+    rel_entr,
     validate_and_trim,
 )
 from infosep.errors import (
@@ -233,6 +237,47 @@ class TestLogSumExp:
         assert got.shape == want.shape == (13, 1)
         assert got[3, 0] == -np.inf
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestRelEntr:
+    """The zero convention, with `scipy.special.rel_entr` as the reference.
+
+    Near ``a == b`` the two round the log differently, by up to a few ulps
+    of ``a``, hence the absolute tolerance.
+    """
+
+    def test_matches_scipy_with_zeros(self):
+        rng = np.random.default_rng(3)
+        a = rng.random((6, 7)) * (rng.random((6, 7)) < 0.7)
+        b = rng.random((6, 7)) * (rng.random((6, 7)) < 0.7)
+        got = rel_entr(a, b)
+        assert np.any(a == 0.0) and np.any((a > 0.0) & (b == 0.0))
+        np.testing.assert_allclose(got, scipy_rel_entr(a, b), rtol=1e-14, atol=1e-15)
+
+    def test_broadcasting(self):
+        rng = np.random.default_rng(4)
+        a = rng.random((4, 1, 3)) * (rng.random((4, 1, 3)) < 0.7)
+        b = rng.random((5, 3))
+        got = rel_entr(a, b)
+        assert got.shape == (4, 5, 3)
+        np.testing.assert_allclose(got, scipy_rel_entr(a, b), rtol=1e-14, atol=1e-15)
+        assert rel_entr(a, 1.0).shape == a.shape
+
+    def test_zero_convention(self):
+        a = np.array([0.5, 0.0, 0.0])
+        b = np.array([0.0, 0.0, 0.3])
+        got = rel_entr(a, b)
+        assert got[0] == np.inf
+        assert got[1] == 0.0 and got[2] == 0.0
+        np.testing.assert_array_equal(got, scipy_rel_entr(a, b))
+
+    def test_tiny_denominator_overflows_silently(self):
+        # scipy keeps these finite (about 737 and 372 nats); here the ratio
+        # overflows to +inf, which every caller already handles for b == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rel_entr(np.array([1.0, 0.5]), np.array([1e-320, 5e-324]))
+        assert np.all(got == np.inf)
 
 
 class TestMutualInformation:

@@ -11,9 +11,9 @@ from infosep.finfo import (
     BUILTIN_GENERATORS,
     FGenerator,
     f_information,
-    f_information_invariance_check,
     get_generator,
 )
+from infosep.harness import SolverConfig, verify_separability
 from infosep.modal import modal_decompose
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -151,33 +151,40 @@ class TestFInformationValues:
                 assert b <= a + 1e-12
 
 
+def f_invariance(j, s, t, generators=tuple(BUILTIN_GENERATORS)):
+    """The strict f-information battery: (report, gap per generator name)."""
+    rep = verify_separability(j, s, t, measures=[f"f:{g}" for g in generators],
+                              config=SolverConfig(exact_tol=1e-9), strict=True)
+    return rep, {r.measure[2:]: r.gap for r in rep.rows}
+
+
 class TestInvarianceCheck:
     def test_identity_maps_zero_gaps(self):
         j = JointDistribution(DSBS01)
-        rep = f_information_invariance_check(
+        rep, gaps = f_invariance(
             j, DeterministicMap.identity(2), DeterministicMap.identity(2))
-        assert rep.passed
-        assert all(g == 0.0 for g in rep.gaps.values())
+        assert rep.overall
+        assert all(g == 0.0 for g in gaps.values())
 
     def test_refined_dsbs_all_builtins(self, dsbs01_refined):
         j, s, t = dsbs01_refined
-        rep = f_information_invariance_check(j, s, t)
-        assert rep.passed
-        assert set(rep.gaps) == set(BUILTIN_GENERATORS)
-        assert all(g <= 1e-10 for g in rep.gaps.values())
+        rep, gaps = f_invariance(j, s, t)
+        assert rep.overall
+        assert set(gaps) == set(BUILTIN_GENERATORS)
+        assert all(g <= 1e-10 for g in gaps.values())
 
     def test_random_base_refined_tv(self):
         from infosep.harness import random_joint, random_refinement, refine_embedding
         base = random_joint(3, 3, seed=8)
         j, s, t = refine_embedding(random_refinement(base, 9, 9, seed=9))
-        rep = f_information_invariance_check(j, s, t, generators=("tv",))
-        assert rep.passed
-        assert rep.gaps["tv"] <= 1e-10
+        rep, gaps = f_invariance(j, s, t, generators=("tv",))
+        assert rep.overall
+        assert gaps["tv"] <= 1e-10
 
     def test_insufficient_maps_raise(self):
         j = JointDistribution(np.eye(2) / 2)
         with pytest.raises(InsufficientStatistic):
-            f_information_invariance_check(
+            f_invariance(
                 j, DeterministicMap.constant(2), DeterministicMap.identity(2))
 
     def test_infinite_values_on_both_sides_agree(self):
@@ -186,5 +193,5 @@ class TestInvarianceCheck:
         j = JointDistribution(p)
         from infosep.modal import minimal_sufficient_maps
         s, t = minimal_sufficient_maps(j)
-        rep = f_information_invariance_check(j, s, t)
-        assert rep.passed
+        rep, _ = f_invariance(j, s, t)
+        assert rep.overall
