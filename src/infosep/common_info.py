@@ -18,11 +18,15 @@ minimizes the penalized objective I(W;X,Y) + lam * I(X;Y|W) over conditional
 kernels P(w | x, y) by multi-start exponentiated-gradient descent with the
 penalty weight ramped over the fixed schedule (1, 10, 100, 1000); a run is
 accepted when its final conditional mutual information falls below the
-feasibility tolerance.  Results are deterministic given (seed, restarts).
+feasibility tolerance.  The starts are independent runs, so they advance in
+lockstep as one batch: each array operation of a descent round serves every
+start at once, and each start's result is the one it gives when run alone.
+Results are deterministic given (seed, restarts).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ from .dist import (
     info_from_nats,
     logsumexp,
     marginals,
+    rel_entr,
 )
 from .errors import DimensionError, NoFeasiblePoint, NumericalError
 from .modal import modal_decompose
@@ -156,78 +161,151 @@ class WynerResult:
     converged: bool
 
 
-def _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, lam):
-    """Objective parts (nats) and the row-scaled gradient.
+def _wyner_eval(q, pxy, h_xy):
+    """Objective parts (nats) of a stack of kernels, from its marginal sums.
 
-    ``ln_pxy`` is the column of log P(x, y), 0 off the support, and
-    ``support`` the matching 0/1 column.  The kernel is floored at
+    ``q`` holds kernels P(w | x, y) shaped ``(..., nx, ny, card)``, ``pxy``
+    is P(x, y) shaped ``(nx, ny, 1)`` and ``h_xy`` is the sum of
+    ``P(x, y) log P(x, y)`` over the support.  The kernel is floored at
     ``KERNEL_FLOOR``, so every log here is finite and a cell off the support
-    adds nothing to either sum.  Returns (I(W;XY), I(X;Y|W), grad); rows of
-    zero-probability cells get a zero gradient since their kernel entries
-    are irrelevant.
+    adds nothing to either sum.  Returns (I(W;XY), I(X;Y|W), logs), the two
+    values shaped like the leading axes of ``q``; ``logs`` holds log q and
+    the logs of P(w), P(x, w) and P(y, w), for `_wyner_grad`.
     """
-    pj = pxy_flat[:, None] * q
-    cube = pj.reshape(nx, ny, -1)
-    lnq = np.log(q)
-    ln_pw = np.log(pxy_flat @ q)
-    lr1 = lnq - ln_pw
-    lr2 = ((ln_pxy + lnq).reshape(cube.shape) + ln_pw
-           - np.log(cube.sum(axis=1))[:, None, :]
-           - np.log(cube.sum(axis=0))[None, :, :]).reshape(q.shape)
-    value = float((pj * lr1).sum())
-    resid = float((pj * lr2).sum())
-    return value, resid, (lr1 + lam * lr2) * support
+    pj = pxy * q
+    pxw = pj.sum(axis=-2)
+    pyw = pj.sum(axis=-3)
+    pw = pxw.sum(axis=-2)
+    logs = lnq, ln_pw, ln_pxw, ln_pyw = (
+        np.log(q), np.log(pw), np.log(pxw), np.log(pyw))
+    s_q = np.multiply(pj, lnq, out=pj).sum(axis=(-3, -2, -1))
+    s_w = (pw * ln_pw).sum(axis=-1)
+    value = s_q - s_w
+    resid = (h_xy + s_q + s_w - (pxw * ln_pxw).sum(axis=(-2, -1))
+             - (pyw * ln_pyw).sum(axis=(-2, -1)))
+    return value, resid, logs
+
+
+def _wyner_grad(logs, support, lam):
+    """Row-scaled gradient of I(W;XY) + lam * I(X;Y|W) from `_wyner_eval` logs.
+
+    The gradient is that of the objective as `_wyner_eval` computes it,
+    with ``h_xy`` held fixed; on stochastic kernels it differs from the
+    gradient of the full expression by a constant per row, which the
+    row-normalized update ignores.  ``support`` is the 0/1 indicator of
+    P(x, y) > 0 shaped ``(nx, ny, 1)``: rows of zero-probability cells get a
+    zero gradient since their kernel entries are irrelevant.
+    """
+    lnq, ln_pw, ln_pxw, ln_pyw = logs
+    ln_pw = ln_pw[..., None, None, :]
+    g = lnq + ln_pw
+    g -= ln_pxw[..., :, None, :]
+    g -= ln_pyw[..., None, :, :]
+    g *= lam
+    g += lnq - ln_pw
+    g *= support
+    return g
 
 
 def _renormalize(q):
-    q = np.clip(q, KERNEL_FLOOR, None)
-    return q / q.sum(axis=1, keepdims=True)
+    q = np.maximum(q, KERNEL_FLOOR)
+    q /= q.sum(axis=-1, keepdims=True)
+    return q
 
 
-def _wyner_stage(q, pxy_flat, ln_pxy, support, nx, ny, lam, max_iters,
+def _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
                  step_tol=1e-10):
     """Exponentiated-gradient descent at one fixed penalty weight.
 
-    Steps are accepted only when the objective does not increase, with the
-    step size halved on rejection, so each stage is a descent run.  The
-    stage ends when the kernel stalls in sup norm or the objective stops
-    improving for a few consecutive iterations.  Each trial point is
-    evaluated once, gradient included, and an accepted step carries that
-    gradient into the next iteration, so each trial step costs one
-    evaluation.
+    ``q`` is a stack ``(starts, nx, ny, card)`` of kernels that advance in
+    lockstep: each round makes one trial step per live start, and one
+    `_wyner_eval` call evaluates all of them.  Steps are accepted only when
+    the objective does not increase, with the step size halved on
+    rejection, so each start is a descent run.  A start ends when its kernel
+    stalls in sup norm, its objective stops improving for a few consecutive
+    iterations, its step size or its 40 trials of one step run out, or
+    after ``max_iters`` accepted steps; it then leaves the later rounds.
+    Each start keeps its own step size and counts, so it takes the steps it
+    takes when run alone.  The gradient is built only at accepted points.
+    Returns the final stack and each start's number of accepted steps.
     """
-    value, resid, g = _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, lam)
-    f_cur = value + lam * resid
-    eta = 0.5
-    stalled = 0
-    for _ in range(max_iters):
-        accepted = False
-        for _ in range(40):
-            lnq = np.log(q) - eta * g
-            lnq -= logsumexp(lnq)
-            qn = _renormalize(np.exp(lnq))
-            value, resid, gn = _wyner_eval(qn, pxy_flat, ln_pxy, support, nx, ny, lam)
-            f_new = value + lam * resid
-            if f_new <= f_cur + 1e-12:
-                accepted = True
-                break
-            eta *= 0.5
-            if eta < 1e-13:
-                break
-        if not accepted:
-            break
-        delta = float(np.max(np.abs(qn - q)))
-        gain = f_cur - f_new
-        q = qn
-        g = gn
-        f_cur = f_new
-        eta = min(eta * 1.5, 20.0)
-        if delta <= step_tol:
-            break
-        stalled = stalled + 1 if gain <= 1e-13 * (1.0 + abs(f_cur)) else 0
-        if stalled >= 3:
-            break
-    return q
+    # ``q`` starts as ``out`` itself: until the first start ends, every row
+    # is live and is written again when its start ends.
+    q = out = np.array(q, dtype=float)
+    starts = len(q)
+    steps = np.zeros(starts, dtype=int)
+    if max_iters < 1:
+        return out, steps
+    live = list(range(starts))
+    value, resid, logs = _wyner_eval(q, pxy, h_xy)
+    f = (value + lam * resid).tolist()
+    lnq = logs[0]
+    g = _wyner_grad(logs, support, lam)
+    eta, trials, stalled, iters = ([0.5] * starts, [0] * starts,
+                                   [0] * starts, [0] * starts)
+    while live:
+        t = np.array(eta)[:, None, None, None] * g
+        np.subtract(lnq, t, out=t)
+        t -= logsumexp(t)
+        qn = _renormalize(np.exp(t, out=t))
+        value, resid, logs = _wyner_eval(qn, pxy, h_xy)
+        f_new = (value + lam * resid).tolist()
+        ok = [a <= b + 1e-12 for a, b in zip(f_new, f)]
+        acc = [i for i, accepted in enumerate(ok) if accepted]
+        if acc:
+            delta = qn - q
+            delta = np.abs(delta, out=delta).max(axis=(-3, -2, -1)).tolist()
+        keep, ended = [], []
+        for i, accepted in enumerate(ok):
+            if accepted:
+                gain = f[i] - f_new[i]
+                f[i] = f_new[i]
+                eta[i] = min(eta[i] * 1.5, 20.0)
+                trials[i] = 0
+                iters[i] += 1
+                stalled[i] = (stalled[i] + 1
+                              if gain <= 1e-13 * (1.0 + abs(f[i])) else 0)
+                stop = (delta[i] <= step_tol or stalled[i] >= 3
+                        or iters[i] >= max_iters)
+            else:
+                eta[i] *= 0.5
+                trials[i] += 1
+                stop = eta[i] < 1e-13 or trials[i] >= 40
+            (ended if stop else keep).append(i)
+        if len(acc) == len(live):
+            q, lnq = qn, logs[0]
+            g = _wyner_grad(logs, support, lam)
+        elif acc:
+            mask = np.array(ok)[:, None, None, None]
+            np.copyto(q, qn, where=mask)
+            np.copyto(lnq, logs[0], where=mask)
+            g[acc] = _wyner_grad(tuple(a.take(acc, axis=0) for a in logs),
+                                 support, lam)
+        if ended:
+            out[[live[i] for i in ended]] = q[ended]
+            steps[[live[i] for i in ended]] = [iters[i] for i in ended]
+            q, lnq, g = q[keep], lnq[keep], g[keep]
+            live, f, eta, trials, stalled, iters = (
+                [s[i] for i in keep]
+                for s in (live, f, eta, trials, stalled, iters))
+    return out, steps
+
+
+def _jitter(q, rngs):
+    """Renormalized ``q * exp(1e-3 * noise)``, each start's noise drawn from
+    its own generator.  A function of its own so that the noise is freed
+    before the next stage allocates its work arrays."""
+    noise = np.stack([rng.standard_normal(q.shape[1:]) for rng in rngs])
+    return _renormalize(q * np.exp(1e-3 * noise))
+
+
+def _start_kernel(kind, nx, ny, card, rng):
+    """W a copy of X (``"x"``), a copy of Y (``"y"``), or a Dirichlet(1) draw."""
+    if kind == "x":
+        return np.repeat(np.eye(nx, card)[:, None, :], ny, axis=1)
+    if kind == "y":
+        return np.tile(np.eye(ny, card), (nx, 1, 1))
+    return rng.dirichlet(np.ones(card), size=nx * ny).reshape(nx, ny, card)
 
 
 def wyner_solve(j: JointDistribution, card_w: int | None = None,
@@ -243,48 +321,58 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     smallest value wins, ties broken by start index; if none is feasible the
     run with the smallest residual is returned with ``converged=False``.
 
+    The starts run in lockstep as one batch (see `_wyner_stage`), in chunks
+    of at most ``MAX_SOLVER_ENTRIES`` kernel entries; each start's result is
+    the one it gives when run alone.
+
     The finite penalty weights bias the value low: it can fall slightly
     below the true common information (on DSBS(0.1), 0.8726099 bits against
     the closed form 0.8727606).  Value plus residual always bounds I(X;Y)
     from above, so the value is usable even for unconverged runs.
 
-    Raises `DimensionError` before allocating when the kernel would hold
-    more than ``MAX_SOLVER_ENTRIES`` (``nx * ny * card_w``) entries.
+    Raises `ValueError` for a negative ``restarts`` or a negative or
+    non-finite ``residual_tol``.  Raises `DimensionError` before allocating
+    when there is no start (``card_w`` below both ``nx`` and ``ny`` and no
+    restarts) or when the kernel would hold more than ``MAX_SOLVER_ENTRIES``
+    (``nx * ny * card_w``) entries.
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny
+    restarts = int(restarts)
     if card < 1:
         raise DimensionError("card_w must be at least 1")
+    if restarts < 0:
+        raise ValueError("restarts must be non-negative")
+    if not (math.isfinite(residual_tol) and residual_tol >= 0.0):
+        raise ValueError("residual_tol must be non-negative and finite")
     if nx * ny * card > MAX_SOLVER_ENTRIES:
         raise DimensionError(
             f"Wyner kernel of {nx}x{ny} cells by {card} auxiliary symbols "
             f"exceeds {MAX_SOLVER_ENTRIES} entries; lower card_w "
             f"(--wyner-card) or reduce the input")
-    pxy_flat = j.p.ravel()
-    support = (pxy_flat > 0.0)[:, None].astype(float)
-    ln_pxy = np.log(pxy_flat, out=np.zeros_like(pxy_flat),
-                    where=pxy_flat > 0.0)[:, None]
+    kinds = (["x"] * (card >= nx) + ["y"] * (card >= ny)
+             + ["dirichlet"] * restarts)
+    if not kinds:
+        raise DimensionError(
+            f"Wyner solver has no start: card_w {card} is below both "
+            f"alphabet sizes ({nx}x{ny}), so W cannot copy X or Y, and "
+            f"restarts is 0; raise card_w (--wyner-card) or restarts "
+            f"(--restarts)")
+    pxy = j.p[:, :, None]
+    support = (pxy > 0.0).astype(float)
+    h_xy = float(rel_entr(pxy, 1.0).sum())
     rng = np.random.default_rng(seed)
 
-    inits = []
-    if card >= nx:
-        q = np.zeros((nx * ny, card))
-        q[np.arange(nx * ny), np.repeat(np.arange(nx), ny)] = 1.0
-        inits.append(q)
-    if card >= ny:
-        q = np.zeros((nx * ny, card))
-        q[np.arange(nx * ny), np.tile(np.arange(ny), nx)] = 1.0
-        inits.append(q)
-    for _ in range(int(restarts)):
-        inits.append(rng.dirichlet(np.ones(card), size=nx * ny))
-
     resid_limit = residual_tol * LN2  # tolerance is stated in bits
-    runs = []
-    for idx, q0 in enumerate(inits):
-        # Per-run generator for the stage-transition jitter below; keyed by
+    chunk = max(1, MAX_SOLVER_ENTRIES // (nx * ny * card))
+    best = None
+    for lo in range(0, len(kinds), chunk):
+        idxs = range(lo, min(lo + chunk, len(kinds)))
+        q = _renormalize(np.stack(
+            [_start_kernel(kinds[i], nx, ny, card, rng) for i in idxs]))
+        # Per-run generators for the stage-transition jitter below; keyed by
         # (seed, index) so runs stay reproducible individually.
-        run_rng = np.random.default_rng((seed, idx))
-        q = _renormalize(np.array(q0, dtype=float))
+        run_rngs = [np.random.default_rng((seed, i)) for i in idxs]
         for stage, lam in enumerate(PENALTY_SCHEDULE):
             if stage:
                 # Constant-W kernels are exact fixed points of the row-wise
@@ -293,29 +381,25 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # the penalty weight grows.  A small seeded jitter at each
                 # weight change breaks that symmetry so the descent can
                 # leave the degenerate point; the stage re-converges anyway.
-                noise = run_rng.standard_normal(q.shape)
-                q = _renormalize(q * np.exp(1e-3 * noise))
+                q = _jitter(q, run_rngs)
             tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q = _wyner_stage(q, pxy_flat, ln_pxy, support, nx, ny, lam,
-                             max_iters, step_tol=tol)
-        value, resid, _ = _wyner_eval(q, pxy_flat, ln_pxy, support, nx, ny, 0.0)
-        runs.append((value, max(resid, 0.0), q, idx))
-
-    feasible = [r for r in runs if r[1] <= resid_limit]
-    if feasible:
-        best = min(feasible, key=lambda r: (r[0], r[3]))
-        converged = True
-    else:
-        best = min(runs, key=lambda r: (r[1], r[3]))
-        converged = False
-    value, resid, q, _ = best
+            q, _ = _wyner_stage(q, pxy, h_xy, support, lam,
+                                max_iters, step_tol=tol)
+        values, resids = _wyner_eval(q, pxy, h_xy)[:2]
+        for k, i in enumerate(idxs):
+            value, resid = float(values[k]), max(float(resids[k]), 0.0)
+            # feasible runs first, by value; otherwise by residual
+            key = (0, value, i) if resid <= resid_limit else (1, resid, i)
+            if best is None or key < best[0]:
+                best = (key, value, resid, q[k].reshape(nx * ny, card).copy())
+    key, value, resid, q = best
     return WynerResult(
         value=info_from_nats(value, unit),
         card_w=card,
         kernel=ConditionalKernel(q),
         markov_residual=info_from_nats(resid, unit),
-        restarts_used=len(inits),
-        converged=converged,
+        restarts_used=len(kinds),
+        converged=key[0] == 0,
     )
 
 

@@ -273,17 +273,18 @@ class DeterministicMap:
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``log(sum(exp(a)))`` of a 2-D array, as a column.
+    """Row-wise ``log(sum(exp(a)))`` along the last axis, kept as an axis.
 
-    Each row is shifted by its maximum before exponentiating; a row that is
-    all ``-inf`` gives ``-inf``.  Same values as SciPy's
-    ``logsumexp(a, axis=1, keepdims=True)`` without its per-call dispatch
-    cost, which dominates on the solvers' small matrices.
+    A row is a slice along the last axis, so a stack of matrices is handled
+    like one matrix, row by row.  Each row is shifted by its maximum before
+    exponentiating; a row that is all ``-inf`` gives ``-inf``.  Same values
+    as SciPy's ``logsumexp(a, axis=-1, keepdims=True)`` without its
+    per-call dispatch cost, which dominates on the solvers' small matrices.
     """
-    m = a.max(axis=1, keepdims=True)
+    m = a.max(axis=-1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - m).sum(axis=1, keepdims=True)) + m
+        return np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m
 
 
 def rel_entr(a, b) -> np.ndarray:

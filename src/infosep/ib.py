@@ -26,6 +26,7 @@ curve saturates at I(X;Y) from rate H(S) on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,14 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
     broken by start index.  ``converged`` reflects the winning run.  For
     beta <= 1 the constant variable is returned immediately (Lagrangian 0).
-    Raises `DimensionError` when the iteration's ``nx * card_u * ny`` array
-    would exceed ``MAX_SOLVER_ENTRIES`` entries.
+    Raises `ValueError` for a ``beta`` that is not positive and finite or a
+    negative ``restarts``, and `DimensionError` when the iteration's
+    ``nx * card_u * ny`` array would exceed ``MAX_SOLVER_ENTRIES`` entries.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError("beta must be positive and finite")
+    if restarts < 0:
+        raise ValueError("restarts must be non-negative")
     nx = j.nx
     card = int(card_u) if card_u is not None else nx + 1
     if card < 1:

@@ -101,6 +101,14 @@ class TestMeasures:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--wyner-card" in err
 
+    def test_no_wyner_start(self, capsys, dsbs_file):
+        # card 1 leaves no copy start and --restarts 0 adds no random one
+        assert main(["measures", dsbs_file, "--wyner-card", "1",
+                     "--restarts", "0"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--wyner-card" in err and "--restarts" in err
+
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
         assert main(["measures", dsbs_file, "--restarts", "1",

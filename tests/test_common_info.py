@@ -1,10 +1,16 @@
 """Gacs-Korner and Wyner common information."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from infosep.common_info import (
+    _renormalize,
+    _start_kernel,
     _wyner_eval,
+    _wyner_grad,
+    _wyner_stage,
     gacs_korner,
     gk_via_components,
     wyner_grid_oracle,
@@ -248,6 +254,32 @@ class TestWynerSolve:
         with pytest.raises(DimensionError, match="--wyner-card"):
             wyner_solve(j, card_w=2**22 // 6 + 1, restarts=0)
 
+    def test_no_start_raises_before_solving(self, dsbs01):
+        # card_w 1 is below both alphabet sizes: no copy start, no restarts
+        with pytest.raises(DimensionError, match="--restarts"):
+            wyner_solve(dsbs01, card_w=1, restarts=0)
+        assert wyner_solve(dsbs01, card_w=1, restarts=1).restarts_used == 1
+
+    def test_negative_restarts_rejected(self, dsbs01):
+        with pytest.raises(ValueError, match="restarts"):
+            wyner_solve(dsbs01, restarts=-1)
+
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan"), float("inf")])
+    def test_bad_residual_tol_rejected(self, dsbs01, tol):
+        with pytest.raises(ValueError, match="residual_tol"):
+            wyner_solve(dsbs01, residual_tol=tol)
+
+
+@pytest.fixture
+def zero_cell_table():
+    """A 3x4 table with two empty cells as the Wyner solver holds it:
+    P(x, y) shaped (3, 4, 1), the sum of P log P, and the 0/1 support."""
+    p = random_joint(3, 4, seed=2).p.copy()
+    p[0, 1] = p[2, 3] = 0.0
+    pxy = (p / p.sum())[:, :, None]
+    ln_pxy = np.log(pxy, out=np.zeros_like(pxy), where=pxy > 0.0)
+    return pxy, float((pxy * ln_pxy).sum()), (pxy > 0.0).astype(float)
+
 
 class TestWynerEval:
     """The penalized objective on a 3x4 table with two empty cells."""
@@ -255,32 +287,27 @@ class TestWynerEval:
     LAM = 7.0
 
     @pytest.fixture
-    def problem(self):
-        p = random_joint(3, 4, seed=2).p.copy()
-        p[0, 1] = p[2, 3] = 0.0
-        pxy = p.ravel() / p.sum()
-        support = (pxy > 0.0)[:, None].astype(float)
-        ln_pxy = np.log(pxy, out=np.zeros_like(pxy), where=pxy > 0.0)[:, None]
+    def problem(self, zero_cell_table):
         q = np.random.default_rng(5).dirichlet(np.ones(5), size=12)
-        return q, (pxy, ln_pxy, support, 3, 4)
+        return (q.reshape(3, 4, 5), *zero_cell_table)
 
     def test_value_and_residual(self, problem):
-        q, args = problem
-        value, resid, _ = _wyner_eval(q, *args, self.LAM)
-        pxyw = args[0][:, None] * q
-        i_w_xy = mutual_information(validate_and_trim(pxyw), unit="nats").value
-        i_xy_w = conditional_mutual_information(
-            pxyw.reshape(3, 4, 5), unit="nats").value
+        q, pxy, h_xy, _ = problem
+        value, resid, _ = _wyner_eval(q, pxy, h_xy)
+        pxyw = pxy * q
+        i_w_xy = mutual_information(validate_and_trim(pxyw.reshape(12, 5)),
+                                    unit="nats").value
+        i_xy_w = conditional_mutual_information(pxyw, unit="nats").value
         assert value == pytest.approx(i_w_xy, abs=1e-12)
         assert resid == pytest.approx(i_xy_w, abs=1e-12)
 
     def test_gradient_is_scaled_central_difference(self, problem):
-        q, args = problem
-        pxy, eps = args[0], 1e-6
-        _, _, grad = _wyner_eval(q, *args, self.LAM)
+        q, pxy, h_xy, support = problem
+        eps = 1e-6
+        grad = _wyner_grad(_wyner_eval(q, pxy, h_xy)[2], support, self.LAM)
 
         def objective(qq):
-            value, resid, _ = _wyner_eval(qq, *args, self.LAM)
+            value, resid, _ = _wyner_eval(qq, pxy, h_xy)
             return value + self.LAM * resid
 
         fd = np.zeros_like(q)
@@ -288,10 +315,52 @@ class TestWynerEval:
             step = np.zeros_like(q)
             step[idx] = eps
             fd[idx] = (objective(q + step) - objective(q - step)) / (2 * eps)
-        on = pxy > 0.0
+        on = pxy[..., 0] > 0.0
         assert (~on).sum() == 2
-        np.testing.assert_allclose(fd[on] / pxy[on, None], grad[on], rtol=1e-5)
+        np.testing.assert_allclose(fd[on] / pxy[on], grad[on], rtol=1e-5)
         assert np.all(grad[~on] == 0.0)
+
+
+class TestWynerBatch:
+    """All starts of a solve advance in lockstep as one stack."""
+
+    def test_batched_stage_matches_each_start_alone(self, zero_cell_table):
+        pxy, h_xy, support = zero_cell_table
+        rng = np.random.default_rng(0)
+        kinds = ["x", "dirichlet", "dirichlet", "dirichlet"]
+        stack = _renormalize(np.stack(
+            [_start_kernel(k, 3, 4, 4, rng) for k in kinds]))
+        max_iters = 320
+        out, steps = _wyner_stage(stack, pxy, h_xy, support, 10.0, max_iters,
+                                  step_tol=1e-8)
+        # the copy start is cut by max_iters, the others stop on their own,
+        # each after a different number of steps
+        assert steps[0] == max_iters
+        assert len(set(steps.tolist())) == len(kinds)
+        assert np.all(steps[1:] < max_iters)
+        for i in range(len(kinds)):
+            alone, alone_steps = _wyner_stage(stack[i:i + 1], pxy, h_xy,
+                                              support, 10.0, max_iters,
+                                              step_tol=1e-8)
+            assert alone_steps[0] == steps[i]
+            np.testing.assert_allclose(out[i], alone[0], rtol=0.0, atol=1e-12)
+
+    def test_memory_stays_within_chunk(self):
+        # 16x16 cells by 4096 symbols is 2**20 entries per start, so a chunk
+        # holds 4 starts.  restarts=0 runs the 2 copy starts in one stack,
+        # restarts=10 runs 12 starts in chunks of 4: about twice the peak,
+        # where a single stack of all 12 would need about six times it.
+        j = random_joint(16, 16, seed=0)
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                wyner_solve(j, card_w=4096, restarts=restarts, max_iters=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) <= 2.25 * peak(0)
 
 
 class TestWynerGridOracle:

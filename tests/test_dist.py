@@ -237,6 +237,9 @@ class TestLogSumExp:
         assert got.shape == want.shape == (13, 1)
         assert got[3, 0] == -np.inf
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # a stack of matrices is reduced row by row, like one matrix
+        stacked = logsumexp(a[:12].reshape(3, 4, 3))
+        np.testing.assert_array_equal(stacked, got[:12].reshape(3, 4, 1))
 
 
 class TestRelEntr:

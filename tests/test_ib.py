@@ -114,6 +114,13 @@ class TestFixedPoint:
             ib_fixed_point(dsbs01, 0.0)
         with pytest.raises(ValueError):
             ib_fixed_point(dsbs01, -1.0)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ib_fixed_point(dsbs01, beta)
+
+    def test_negative_restarts_rejected(self, dsbs01):
+        with pytest.raises(ValueError, match="restarts"):
+            ib_fixed_point(dsbs01, 2.0, restarts=-1)
 
     def test_bad_card_rejected(self, dsbs01):
         with pytest.raises(DimensionError):
