@@ -10,6 +10,8 @@ dependence.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .dist import (
     ConditionalKernel,
     DeterministicMap,
@@ -26,13 +28,11 @@ from .dist import (
 )
 from .errors import (
     DimensionError,
-    InconsistentDecomposition,
     InfosepError,
     InsufficientStatistic,
     InvalidDistribution,
     InvalidGenerator,
     InvalidMap,
-    NoFeasiblePoint,
     NumericalError,
 )
 from .finfo import (
@@ -42,15 +42,11 @@ from .finfo import (
     get_generator,
 )
 from .modal import (
-    CdkMatrix,
     ModalDecomposition,
     SufficiencyVerdict,
-    cdk_matrix,
     check_sufficiency,
-    maximal_correlation,
     minimal_sufficient_maps,
     modal_decompose,
-    reconstruct_joint,
     reduce_joint,
 )
 from .common_info import (
@@ -58,7 +54,6 @@ from .common_info import (
     WynerResult,
     gacs_korner,
     gk_via_components,
-    wyner_grid_oracle,
     wyner_solve,
 )
 from .ib import (
@@ -81,4 +76,7 @@ from .harness import (
     verify_separability,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above also binds their submodules here; those stay
+# reachable as attributes but are not part of the star-import surface.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -38,6 +38,7 @@ from . import __version__
 from .common_info import gacs_korner, wyner_solve
 from .dist import (
     LN2,
+    MAX_SOLVER_ENTRIES,
     DeterministicMap,
     JointDistribution,
     entropy,
@@ -165,6 +166,12 @@ def _check_flags(args) -> None:
     tol = getattr(args, "tol", 0.0)
     if not 0.0 <= tol < math.inf:
         _fail(EXIT_PARSE, f"--tol must be non-negative and finite, got {tol:g}")
+    # The refined table is built dense, so its size is checked before it is.
+    nx, ny = getattr(args, "auto_refine", None) or (0, 0)
+    if min(nx, ny) > 0 and nx * ny > MAX_SOLVER_ENTRIES:
+        _fail(EXIT_PARSE,
+              f"--auto-refine {nx} {ny} asks for {nx * ny} cells, above the "
+              f"solver limit of {MAX_SOLVER_ENTRIES} entries")
 
 
 def _timestamp() -> str:

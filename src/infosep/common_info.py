@@ -45,7 +45,7 @@ from .dist import (
     marginals,
     rel_entr,
 )
-from .errors import DimensionError, NoFeasiblePoint, NumericalError
+from .errors import DimensionError, NumericalError
 from .modal import modal_decompose
 
 #: singular values within this of 1 count as unit (perfectly aligned) modes
@@ -81,18 +81,17 @@ def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,
     return entropy(masses, unit)
 
 
-def gacs_korner(j: JointDistribution, unit_tol: float = UNIT_TOL,
-                unit: str = "bits") -> GkResult:
+def gacs_korner(j: JointDistribution, unit: str = "bits") -> GkResult:
     """Deterministic common part via the dependence spectrum.
 
-    ``k`` counts the singular values within ``unit_tol`` of 1.  For k = 0
+    ``k`` counts the singular values within ``UNIT_TOL`` of 1.  For k = 0
     the common part is trivial (constant maps, value 0).  Otherwise the x
     and y feature rows of the unit modes are grouped jointly, which aligns
     the two maps on one alphabet; the value is the entropy of the common
     symbol distribution.
     """
     md = modal_decompose(j)
-    k = int(np.sum(md.sigmas >= 1.0 - unit_tol))
+    k = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
     if k == 0:
         return GkResult(
             value=InfoValue(0.0, unit),
@@ -402,62 +401,3 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
         converged=key[0] == 0,
     )
 
-
-def wyner_grid_oracle(j: JointDistribution, grid_steps: int = 101,
-                      match_tol: float | None = None,
-                      unit: str = "bits") -> InfoValue:
-    """Brute-force Wyner estimate for 2x2 joints with a binary auxiliary.
-
-    Grids (P(W=0), P(X=0|W=0), P(Y=0|W=0)) on a ``grid_steps``-per-axis
-    lattice, solves the remaining component parameters from the marginal
-    constraints, keeps lattice points whose induced mixture matches the
-    target joint within ``match_tol`` (half a lattice cell by default), and
-    returns the smallest I(W; X, Y) among them.  Slow and deliberately
-    independent of the descent solver; intended for cross-checks.
-    """
-    if j.nx != 2 or j.ny != 2:
-        raise DimensionError("grid oracle is defined for 2x2 joints only")
-    if grid_steps < 3:
-        raise ValueError("grid_steps must be at least 3")
-    h = 1.0 / (grid_steps - 1)
-    if match_tol is None:
-        match_tol = 0.5 * h
-    px, py = marginals(j)
-    p00 = j.p[0, 0]
-    axis = np.linspace(0.0, 1.0, grid_steps)
-    a0, b0 = np.meshgrid(axis, axis, indexing="ij")
-    best = np.inf
-    for w in axis[1:-1]:
-        a1 = (px[0] - w * a0) / (1.0 - w)
-        b1 = (py[0] - w * b0) / (1.0 - w)
-        valid = (a1 > -1e-12) & (a1 < 1.0 + 1e-12) & \
-                (b1 > -1e-12) & (b1 < 1.0 + 1e-12)
-        if not valid.any():
-            continue
-        a1 = np.clip(a1, 0.0, 1.0)
-        b1 = np.clip(b1, 0.0, 1.0)
-        comp_x = (np.stack([a0, 1.0 - a0]), np.stack([a1, 1.0 - a1]))
-        comp_y = (np.stack([b0, 1.0 - b0]), np.stack([b1, 1.0 - b1]))
-        weights = (w, 1.0 - w)
-        cells = [[None, None], [None, None]]
-        for x in (0, 1):
-            for y in (0, 1):
-                cells[x][y] = sum(weights[c] * comp_x[c][x] * comp_y[c][y]
-                                  for c in (0, 1))
-        ok = valid & (np.abs(cells[0][0] - p00) <= match_tol)
-        if not ok.any():
-            continue
-        info = np.zeros_like(a0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c in (0, 1):
-                for x in (0, 1):
-                    for y in (0, 1):
-                        atom = weights[c] * comp_x[c][x] * comp_y[c][y]
-                        term = atom * np.log(comp_x[c][x] * comp_y[c][y] / cells[x][y])
-                        info += np.where(atom > 0.0, term, 0.0)
-        candidate = float(info[ok].min())
-        best = min(best, candidate)
-    if not np.isfinite(best):
-        raise NoFeasiblePoint(
-            f"no lattice point matches the joint within {match_tol:g}")
-    return info_from_nats(best, unit)

@@ -11,8 +11,7 @@ Conventions:
 * terms with zero probability contribute nothing to any sum, matching the
   continuity limit ``0 * log(0) = 0``.  :func:`rel_entr` owns this rule
   for every ``sum a * log(a / b)`` in the package, except the Wyner
-  objective, whose floored kernel keeps every log finite, and the Wyner
-  grid oracle, which keeps its own sum as an independent reference;
+  objective, whose floored kernel keeps every log finite;
 * a :class:`JointDistribution` always has strictly positive marginals.
   Raw nonnegative weight matrices (counts, unnormalized tables, tables
   with dead symbols) enter through :func:`validate_and_trim`.
@@ -199,10 +198,6 @@ class ConditionalKernel:
     def rows(self) -> int:
         return self.k.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.k.shape[1]
-
 
 def conditional_kernel(j: JointDistribution, direction: str = "y|x") -> ConditionalKernel:
     """Conditional pmf table of one coordinate given the other.
@@ -256,20 +251,6 @@ class DeterministicMap:
     @classmethod
     def constant(cls, n: int) -> "DeterministicMap":
         return cls(np.zeros(n, dtype=np.int64), 1)
-
-    def refines(self, other: "DeterministicMap") -> bool:
-        """True when this partition is finer than (or equal to) ``other``.
-
-        Finer means: symbols mapped together here are also mapped together
-        by ``other``.
-        """
-        if self.domain_size != other.domain_size:
-            raise DimensionError("maps are defined on different domains")
-        for c in range(self.image_size):
-            members = other.assignment[self.assignment == c]
-            if np.unique(members).size > 1:
-                return False
-        return True
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:

@@ -21,17 +21,9 @@ class NumericalError(InfosepError, ArithmeticError):
     """A numerical routine failed or produced an inconsistent result."""
 
 
-class InconsistentDecomposition(InfosepError):
-    """A spectral decomposition does not reproduce a valid distribution."""
-
-
 class InvalidGenerator(InfosepError, ValueError):
     """f-information generator violates its defining constraints."""
 
 
 class InsufficientStatistic(InfosepError):
     """Symbol maps fail the sufficiency test required by the operation."""
-
-
-class NoFeasiblePoint(InfosepError):
-    """Exhaustive search found no parameter point matching the target."""

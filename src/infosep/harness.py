@@ -7,9 +7,9 @@ a smaller alphabet: every base symbol is split into weighted copies,
 
 so the block maps (s, t) are sufficient by construction and every
 dependence measure must survive the reduction back to the base.
-`verify_separability` runs a configurable battery of such comparisons and
-reports per-measure gaps; `simulate_and_estimate` does the same on sampled
-data, where reduction happens by aggregating counts.
+`verify_separability` runs a battery of such comparisons, or a chosen
+subset of it, and reports per-measure gaps; `simulate_and_estimate` does
+the same on sampled data, where reduction happens by aggregating counts.
 
 Sampling uses the counter-based Philox generator, so identical seeds give
 identical draws across platforms.
@@ -88,8 +88,12 @@ class RefinementSpec:
 
 
 def random_refinement(base: JointDistribution, nx: int, ny: int,
-                      seed: int = 0, alpha: float = 1.0) -> RefinementSpec:
-    """Draw a random refinement of ``base`` to alphabet sizes (nx, ny)."""
+                      seed: int = 0) -> RefinementSpec:
+    """Draw a random refinement of ``base`` to alphabet sizes (nx, ny).
+
+    Each base symbol gets at least one copy, the extra copies go to
+    uniformly drawn symbols, and each block's weights are Dirichlet(1).
+    """
     if nx < base.nx or ny < base.ny:
         raise DimensionError(
             "refined alphabets cannot be smaller than the base alphabets")
@@ -99,7 +103,7 @@ def random_refinement(base: JointDistribution, nx: int, ny: int,
         sizes = np.ones(n_base, dtype=np.int64)
         for _ in range(n_total - n_base):
             sizes[rng.integers(n_base)] += 1
-        return tuple(tuple(rng.dirichlet(np.full(sz, alpha))) for sz in sizes)
+        return tuple(tuple(rng.dirichlet(np.ones(sz))) for sz in sizes)
 
     return RefinementSpec(base=base, split_x=blocks(base.nx, nx),
                           split_y=blocks(base.ny, ny), seed=seed)
@@ -142,14 +146,16 @@ class SolverConfig:
     unit: str = "bits"
     wyner_card: int | None = None
     wyner_max_iters: int = 1000
-    wyner_residual_tol: float = 1e-6
-    ib_card: int | None = None
-    ib_betas: tuple = (1.5, 2.0, 5.0)
-    ib_conv_tol: float = 1e-10
-    ib_max_iters: int = 2000
-    theta_points: int = 11
-    exact_tol: float = 1e-9
-    solver_tol: float = 5e-3
+
+
+#: gap allowed between raw and reduced values of an exact measure
+EXACT_TOL = 1e-9
+#: gap allowed between raw and reduced values of a solver-based measure
+SOLVER_TOL = 5e-3
+#: bottleneck multipliers of the "ib" and "theta" rows
+IB_BETAS = (1.5, 2.0, 5.0)
+#: rates, evenly spaced from 0 to the saturation rate, of the "theta" rows
+THETA_POINTS = 11
 
 
 #: measure battery run when none is requested explicitly
@@ -208,20 +214,20 @@ def _gap(a: float, b: float) -> float:
 
 
 def verify_separability(j: JointDistribution, s: DeterministicMap,
-                        t: DeterministicMap, measures=None, tols=None,
+                        t: DeterministicMap, measures=None,
                         config: SolverConfig | None = None,
                         strict: bool = False) -> SeparabilityReport:
     """Compare dependence measures of ``j`` and its reduction through (s, t).
 
     With ``strict`` the maps must pass the sufficiency test, otherwise the
     report records the gap and proceeds (measure rows will then expose the
-    mismatch).  Exact measures default to the ``exact_tol`` of the config,
-    solver-based ones to ``solver_tol``.
+    mismatch).  A row passes when its gap is at most ``EXACT_TOL`` for an
+    exact measure (``mi``, ``f:*``, ``gk``) or ``SOLVER_TOL`` for a
+    solver-based one (``wyner``, ``ib``, ``theta``).
     """
     cfg = config or SolverConfig()
     measures = tuple(measures) if measures is not None else DEFAULT_MEASURES
-    tols = dict(tols) if tols else {}
-    verdict = check_sufficiency(j, s, t, cfg.exact_tol)
+    verdict = check_sufficiency(j, s, t)
     if strict and not verdict.sufficient:
         raise InsufficientStatistic(
             f"maps are not sufficient: ratio gap {verdict.max_ratio_gap:.3e}")
@@ -240,49 +246,38 @@ def verify_separability(j: JointDistribution, s: DeterministicMap,
     curves = None
     if need_curves:
         curves = tuple(
-            ib_curve(side, cfg.ib_betas, card_u=cfg.ib_card,
-                     restarts=cfg.restarts, conv_tol=cfg.ib_conv_tol,
-                     max_iters=cfg.ib_max_iters, seed=cfg.seed, unit=unit)
+            ib_curve(side, IB_BETAS, restarts=cfg.restarts, seed=cfg.seed,
+                     unit=unit)
             for side in (j, red))
 
     for m in measures:
         if m == "mi":
             add("mi", mutual_information(j, unit).value,
-                mutual_information(red, unit).value,
-                tols.get(m, cfg.exact_tol))
+                mutual_information(red, unit).value, EXACT_TOL)
         elif m.startswith("f:"):
             gen = get_generator(m[2:])
             add(m, f_information(j, gen, unit).value,
-                f_information(red, gen, unit).value,
-                tols.get(m, cfg.exact_tol))
+                f_information(red, gen, unit).value, EXACT_TOL)
         elif m == "gk":
             add("gk", gacs_korner(j, unit=unit).value.value,
-                gacs_korner(red, unit=unit).value.value,
-                tols.get(m, cfg.exact_tol))
+                gacs_korner(red, unit=unit).value.value, EXACT_TOL)
         elif m == "wyner":
-            raw = wyner_solve(j, card_w=cfg.wyner_card, restarts=cfg.restarts,
-                              max_iters=cfg.wyner_max_iters,
-                              residual_tol=cfg.wyner_residual_tol,
-                              seed=cfg.seed, unit=unit)
-            reduced = wyner_solve(red, card_w=cfg.wyner_card,
-                                  restarts=cfg.restarts,
-                                  max_iters=cfg.wyner_max_iters,
-                                  residual_tol=cfg.wyner_residual_tol,
-                                  seed=cfg.seed, unit=unit)
-            add("wyner", raw.value.value, reduced.value.value,
-                tols.get(m, cfg.solver_tol))
+            raw, reduced = (
+                wyner_solve(side, card_w=cfg.wyner_card, restarts=cfg.restarts,
+                            max_iters=cfg.wyner_max_iters, seed=cfg.seed,
+                            unit=unit).value.value
+                for side in (j, red))
+            add("wyner", raw, reduced, SOLVER_TOL)
         elif m == "ib":
-            for b, sol_raw, sol_red in zip(cfg.ib_betas,
-                                           curves[0].solutions,
+            for b, sol_raw, sol_red in zip(IB_BETAS, curves[0].solutions,
                                            curves[1].solutions):
                 add(f"ib[beta={b:g}]", sol_raw.lagrangian.value,
-                    sol_red.lagrangian.value, tols.get(m, cfg.solver_tol))
+                    sol_red.lagrangian.value, SOLVER_TOL)
         elif m == "theta":
             r_max = curves[0].saturation_rate
-            for r in np.linspace(0.0, r_max, cfg.theta_points):
+            for r in np.linspace(0.0, r_max, THETA_POINTS):
                 add(f"theta[R={r:.6g}]", theta_of_R(curves[0], r).value,
-                    theta_of_R(curves[1], r).value,
-                    tols.get(m, cfg.solver_tol))
+                    theta_of_R(curves[1], r).value, SOLVER_TOL)
         else:
             raise ValueError(f"unknown measure {m!r}")
 

@@ -49,6 +49,11 @@ from .dist import (
 from .errors import DimensionError
 from .modal import minimal_sufficient_maps
 
+#: a run has converged once no kernel entry moves by more than this
+CONV_TOL = 1e-10
+#: a run stops after this many refresh cycles, converged or not
+MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class IbSolution:
@@ -78,13 +83,13 @@ def _ib_information(q, px, pygx, py):
     return float(iux), float(iuy)
 
 
-def _ib_run(q0, px, pygx, py, beta, conv_tol, max_iters):
+def _ib_run(q0, px, pygx, py, beta):
     """One self-consistent run; returns (q, converged, lagrangian trace in nats)."""
     q = q0
     iux, iuy = _ib_information(q, px, pygx, py)
     history = [iux - beta * iuy]
     converged = False
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         pu = px @ q
         puy = q.T @ (px[:, None] * pygx)
         # P(Y|U=u), left 0 for an unused u
@@ -100,22 +105,22 @@ def _ib_run(q0, px, pygx, py, beta, conv_tol, max_iters):
         q = qn
         iux, iuy = _ib_information(q, px, pygx, py)
         history.append(iux - beta * iuy)
-        if delta <= conv_tol:
+        if delta <= CONV_TOL:
             converged = True
             break
     return q, converged, history
 
 
 def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
-                   restarts: int = 10, conv_tol: float = 1e-10,
-                   max_iters: int = 2000, seed: int = 0,
+                   restarts: int = 10, seed: int = 0,
                    unit: str = "bits") -> IbSolution:
     """Minimize the bottleneck Lagrangian at one multiplier.
 
     Runs a deterministic identity-like start (U a copy of X, padded or
     truncated to the auxiliary cardinality) plus ``restarts`` seeded
     Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
-    broken by start index.  ``converged`` reflects the winning run.  For
+    broken by start index.  ``converged`` reflects the winning run: whether
+    it met ``CONV_TOL`` within ``MAX_ITERS`` refresh cycles.  For
     beta <= 1 the constant variable is returned immediately (Lagrangian 0).
     Raises `ValueError` for a ``beta`` that is not positive and finite or a
     negative ``restarts``, and `DimensionError` when the iteration's
@@ -156,7 +161,7 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     runs = []
     for idx, q0 in enumerate(inits):
         qf, conv, hist = _ib_run(np.array(q0, dtype=float), px, pygx, py,
-                                 float(beta), conv_tol, max_iters)
+                                 float(beta))
         runs.append((hist[-1], idx, qf, conv, hist))
     best = min(runs, key=lambda r: (r[0], r[1]))
     lag, _, qf, conv, hist = best
@@ -213,16 +218,14 @@ def _upper_concave_envelope(points):
 
 
 def ib_curve(j: JointDistribution, beta_grid, card_u: int | None = None,
-             restarts: int = 10, conv_tol: float = 1e-10,
-             max_iters: int = 2000, seed: int = 0,
+             restarts: int = 10, seed: int = 0,
              unit: str = "bits") -> IbCurve:
     """Sweep multipliers and build the achievable-region envelope."""
     betas = tuple(float(b) for b in beta_grid)
     if not betas:
         raise ValueError("beta grid is empty")
     sols = tuple(
-        ib_fixed_point(j, b, card_u=card_u, restarts=restarts,
-                       conv_tol=conv_tol, max_iters=max_iters, seed=seed,
+        ib_fixed_point(j, b, card_u=card_u, restarts=restarts, seed=seed,
                        unit=unit)
         for b in betas)
     mi = mutual_information(j, unit).value

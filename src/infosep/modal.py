@@ -26,7 +26,6 @@ import numpy as np
 
 from ._grouping import group_rows
 from .dist import (
-    ConditionalKernel,
     DeterministicMap,
     JointDistribution,
     conditional_kernel,
@@ -35,12 +34,7 @@ from .dist import (
     mutual_information,
     pushforward,
 )
-from .errors import (
-    DimensionError,
-    InconsistentDecomposition,
-    InsufficientStatistic,
-    NumericalError,
-)
+from .errors import DimensionError, InsufficientStatistic, NumericalError
 
 #: singular values at or below this are treated as numerically zero rank
 RANK_TOL = 1e-10
@@ -48,36 +42,8 @@ RANK_TOL = 1e-10
 UNIT_SLACK = 1e-9
 #: conditional rows closer than this in sup norm describe the same symbol
 ROW_GROUP_TOL = 1e-10
-#: default sufficiency verdict tolerance on the density-ratio gap
+#: sufficiency verdict tolerance on the density-ratio gap
 SUFFICIENCY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CdkMatrix:
-    """Centered density ratio ``b[x, y] = p(x, y) / (p_x(x) p_y(y)) - 1``."""
-
-    b: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-
-    def __post_init__(self):
-        for name in ("b", "px", "py"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.b.shape != (self.px.size, self.py.size):
-            raise DimensionError("ratio matrix does not match marginal sizes")
-
-
-def cdk_matrix(j: JointDistribution) -> CdkMatrix:
-    """Centered density-ratio matrix of a joint pmf.
-
-    Satisfies sum_x p_x(x) b[x, y] = 0 for every y (and symmetrically in x),
-    and vanishes identically iff the coordinates are independent.
-    """
-    px, py = marginals(j)
-    b = j.p / np.outer(px, py) - 1.0
-    return CdkMatrix(b=b, px=px, py=py)
 
 
 @dataclass(frozen=True)
@@ -110,14 +76,14 @@ class ModalDecomposition:
             raise DimensionError("G table does not match (ny, rank)")
 
 
-def modal_decompose(j: JointDistribution, rank_tol: float = RANK_TOL) -> ModalDecomposition:
+def modal_decompose(j: JointDistribution) -> ModalDecomposition:
     """Decompose the dependence of a joint pmf into orthonormal modes.
 
     Works on the marginally weighted centered ratio matrix, so the trivial
     constant mode is removed exactly before the SVD; this stays well defined
     when nontrivial singular values equal 1 (perfectly correlated parts).
     Singular values are sorted descending, clipped to at most 1, and
-    truncated at ``rank_tol``; the rank never exceeds min(nx, ny) - 1.
+    truncated at ``RANK_TOL``; the rank never exceeds min(nx, ny) - 1.
     """
     px, py = marginals(j)
     weight = np.sqrt(np.outer(px, py))
@@ -126,7 +92,7 @@ def modal_decompose(j: JointDistribution, rank_tol: float = RANK_TOL) -> ModalDe
         u, sig, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    keep = sig > rank_tol
+    keep = sig > RANK_TOL
     keep[min(j.nx, j.ny) - 1:] = False  # weighted centered ratio has deficient rank
     sig = sig[keep]
     u = u[:, keep]
@@ -145,39 +111,17 @@ def modal_decompose(j: JointDistribution, rank_tol: float = RANK_TOL) -> ModalDe
     return ModalDecomposition(rank=int(sig.size), sigmas=sig, F=f, G=g, px=px, py=py)
 
 
-def reconstruct_joint(md: ModalDecomposition) -> JointDistribution:
-    """Rebuild the joint pmf from a modal decomposition.
-
-    Entries below -1e-9 mean the decomposition is not internally consistent
-    and raise; smaller negative excursions are floating-point noise and are
-    clipped to zero.
-    """
-    base = np.outer(md.px, md.py)
-    p = base * (1.0 + (md.F * md.sigmas) @ md.G.T)
-    if p.size and p.min() < -1e-9:
-        raise InconsistentDecomposition(
-            f"reconstruction produced entry {p.min():.3e} below -1e-9")
-    return JointDistribution(np.clip(p, 0.0, None))
-
-
-def maximal_correlation(j: JointDistribution) -> float:
-    """Largest dependence singular value; 0 for independent coordinates."""
-    md = modal_decompose(j)
-    return float(md.sigmas[0]) if md.rank else 0.0
-
-
-def minimal_sufficient_maps(j: JointDistribution,
-                            tol: float = ROW_GROUP_TOL):
+def minimal_sufficient_maps(j: JointDistribution):
     """Coarsest per-coordinate maps that preserve the dependence exactly.
 
-    Groups x symbols whose conditional rows P(y | x) coincide within `tol`
+    Groups x symbols whose conditional rows P(y | x) coincide within ``ROW_GROUP_TOL``
     in sup norm (transitively), and y symbols by their P(x | y) columns.
     Class indices follow first occurrence, so repeated calls agree.
     """
     rows_x = conditional_kernel(j, "y|x").k
     rows_y = conditional_kernel(j, "x|y").k
-    s = DeterministicMap(group_rows(rows_x, tol))
-    t = DeterministicMap(group_rows(rows_y, tol))
+    s = DeterministicMap(group_rows(rows_x, ROW_GROUP_TOL))
+    t = DeterministicMap(group_rows(rows_y, ROW_GROUP_TOL))
     return s, t
 
 
@@ -189,16 +133,15 @@ class SufficiencyVerdict:
     max_ratio_gap: float
     cmi_s: float
     cmi_t: float
-    tol: float
 
 
 def check_sufficiency(j: JointDistribution, s: DeterministicMap,
-                      t: DeterministicMap, tol: float = SUFFICIENCY_TOL) -> SufficiencyVerdict:
+                      t: DeterministicMap) -> SufficiencyVerdict:
     """Test whether (s, t) preserve the dependence structure of ``j``.
 
     The criterion is equality of density ratios: the pair is sufficient iff
     P(x,y) / (P_X P_Y) equals the reduced ratio at (s(x), t(y)) for every
-    cell.  ``cmi_s`` and ``cmi_t`` report I(X;Y|s(X)) and I(X;Y|t(Y)) in
+    cell, within ``SUFFICIENCY_TOL``.  ``cmi_s`` and ``cmi_t`` report I(X;Y|s(X)) and I(X;Y|t(Y)) in
     bits as corroborating diagnostics (both vanish for sufficient maps).
     """
     if s.domain_size != j.nx or t.domain_size != j.ny:
@@ -220,20 +163,19 @@ def check_sufficiency(j: JointDistribution, s: DeterministicMap,
         return info_from_nats(mi - mutual_information(merged, "nats").value).value
 
     return SufficiencyVerdict(
-        sufficient=gap <= tol,
+        sufficient=gap <= SUFFICIENCY_TOL,
         max_ratio_gap=gap,
         cmi_s=cond_mi(pushforward(j, s, DeterministicMap.identity(j.ny))),
         cmi_t=cond_mi(pushforward(j, DeterministicMap.identity(j.nx), t)),
-        tol=float(tol),
     )
 
 
 def reduce_joint(j: JointDistribution, s: DeterministicMap, t: DeterministicMap,
-                 strict: bool = False, tol: float = SUFFICIENCY_TOL) -> JointDistribution:
+                 strict: bool = False) -> JointDistribution:
     """Aggregate ``j`` through (s, t); with ``strict`` require sufficiency."""
     if strict:
-        verdict = check_sufficiency(j, s, t, tol)
+        verdict = check_sufficiency(j, s, t)
         if not verdict.sufficient:
             raise InsufficientStatistic(
-                f"density-ratio gap {verdict.max_ratio_gap:.3e} exceeds {tol:g}")
+                f"density-ratio gap {verdict.max_ratio_gap:.3e} exceeds {SUFFICIENCY_TOL:g}")
     return pushforward(j, s, t)

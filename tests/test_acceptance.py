@@ -24,7 +24,6 @@ from infosep.dist import (
 )
 from infosep.finfo import f_information
 from infosep.harness import (
-    SolverConfig,
     dsbs,
     random_joint,
     random_refinement,
@@ -157,7 +156,6 @@ def test_criterion_02_f_information_invariance(suite_refinement,
     for _, refined, s, t in suite_refinement:
         rep = verify_separability(refined, s, t,
                                   measures=[f"f:{g}" for g in GENERATORS],
-                                  config=SolverConfig(exact_tol=1e-9),
                                   strict=True)
         assert rep.overall
         gaps = {r.measure[2:]: r.gap for r in rep.rows}

@@ -379,6 +379,20 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--wyner-card" in err
 
+    @pytest.mark.parametrize("size", [("50000", "50000"), ("2049", "2048")])
+    def test_auto_refine_size_limit(self, capsys, monkeypatch, dsbs_file,
+                                    size):
+        # the dense refined table would be allocated by these two
+        def refuse(*args, **kwargs):
+            raise AssertionError("refinement built above the size limit")
+
+        monkeypatch.setattr(infosep.cli, "random_refinement", refuse)
+        monkeypatch.setattr(infosep.cli, "refine_embedding", refuse)
+        assert main(["verify", dsbs_file, "--auto-refine", *size]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--auto-refine" in err
+        assert err.count("\n") == 1
+
     def test_bad_maps_file(self, dsbs_file, tmp_path):
         maps = tmp_path / "maps.json"
         maps.write_text(json.dumps({"s": [0, 0, 0]}))  # wrong length, no t

@@ -13,7 +13,6 @@ from infosep.common_info import (
     _wyner_stage,
     gacs_korner,
     gk_via_components,
-    wyner_grid_oracle,
     wyner_solve,
 )
 from infosep.dist import (
@@ -27,9 +26,10 @@ from infosep.dist import (
     pushforward,
     validate_and_trim,
 )
-from infosep.errors import DimensionError, NoFeasiblePoint
+from infosep.errors import DimensionError
 from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
 from infosep.modal import minimal_sufficient_maps, reduce_joint
+from oracles import NoFeasiblePoint, wyner_grid_oracle
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -380,7 +380,6 @@ class TestWynerGridOracle:
         assert abs(float(v) - float(r.value)) <= 0.01
 
     def test_rejects_non_2x2(self):
-        from infosep.errors import DimensionError
         j = JointDistribution(np.full((2, 3), 1.0 / 6.0))
         with pytest.raises(DimensionError):
             wyner_grid_oracle(j)

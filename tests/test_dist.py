@@ -32,6 +32,7 @@ from infosep.errors import (
     InvalidMap,
     NumericalError,
 )
+from oracles import refines
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -201,8 +202,8 @@ class TestDeterministicMap:
     def test_refines(self):
         fine = DeterministicMap(np.array([0, 1, 2, 3]))
         coarse = DeterministicMap(np.array([0, 0, 1, 1]))
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        assert refines(fine, coarse)
+        assert not refines(coarse, fine)
 
 
 class TestEntropy:

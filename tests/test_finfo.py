@@ -13,7 +13,7 @@ from infosep.finfo import (
     f_information,
     get_generator,
 )
-from infosep.harness import SolverConfig, verify_separability
+from infosep.harness import verify_separability
 from infosep.modal import modal_decompose
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -154,7 +154,7 @@ class TestFInformationValues:
 def f_invariance(j, s, t, generators=tuple(BUILTIN_GENERATORS)):
     """The strict f-information battery: (report, gap per generator name)."""
     rep = verify_separability(j, s, t, measures=[f"f:{g}" for g in generators],
-                              config=SolverConfig(exact_tol=1e-9), strict=True)
+                              strict=True)
     return rep, {r.measure[2:]: r.gap for r in rep.rows}
 
 

@@ -22,6 +22,7 @@ from infosep.harness import (
     verify_separability,
 )
 from infosep.modal import check_sufficiency, minimal_sufficient_maps, modal_decompose
+from oracles import refines
 
 CHEAP = SolverConfig(seed=0, restarts=3, wyner_card=4, wyner_max_iters=300)
 
@@ -138,8 +139,8 @@ class TestRefinement:
             j, s, t = refine_embedding(
                 random_refinement(base, 5, 5, seed=seed))
             ms, mt = minimal_sufficient_maps(j)
-            assert s.refines(ms)
-            assert t.refines(mt)
+            assert refines(s, ms)
+            assert refines(t, mt)
 
     def test_random_refinement_deterministic(self, dsbs01):
         a = random_refinement(dsbs01, 5, 5, seed=2)
@@ -148,10 +149,16 @@ class TestRefinement:
             np.testing.assert_array_equal(wa, wb)
 
 
+@pytest.fixture(scope="module")
+def full_battery(dsbs01_refined):
+    """The default battery on the 4x4 refinement of DSBS(0.1)."""
+    j, s, t = dsbs01_refined
+    return verify_separability(j, s, t, config=CHEAP)
+
+
 class TestVerifySeparability:
-    def test_refined_dsbs_full_battery(self, dsbs01_refined):
-        j, s, t = dsbs01_refined
-        rep = verify_separability(j, s, t, config=CHEAP)
+    def test_refined_dsbs_full_battery(self, full_battery):
+        rep = full_battery
         assert rep.overall
         assert rep.sufficient
         names = [row.measure for row in rep.rows]
@@ -161,6 +168,13 @@ class TestVerifySeparability:
         for row in rep.rows:
             assert row.passed, row
             assert row.gap <= row.tol
+
+    def test_row_tolerances(self, full_battery):
+        # exact measures must agree to 1e-9, solver-based ones to 5e-3
+        for row in full_battery.rows:
+            exact = row.measure in ("mi", "gk") or row.measure.startswith("f:")
+            assert exact or row.measure.startswith(("wyner", "ib[", "theta["))
+            assert row.tol == (1e-9 if exact else 5e-3), row
 
     def test_insufficient_maps_reported_not_raised(self):
         j = JointDistribution(np.eye(2) / 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+import infosep.ib
 from infosep.dist import JointDistribution, entropy, marginals, mutual_information
 from infosep.errors import DimensionError
 from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
@@ -104,6 +105,15 @@ class TestFixedPoint:
         b = ib_fixed_point(dsbs01, 3.0, seed=9)
         assert float(a.lagrangian) == float(b.lagrangian)
         np.testing.assert_array_equal(a.kernel.k, b.kernel.k)
+
+    def test_iteration_cap(self, dsbs01, monkeypatch):
+        # at beta = 2 the copy start needs 32 refresh cycles to converge
+        full = ib_fixed_point(dsbs01, 2.0, restarts=0)
+        assert full.converged and len(full.history) > 6
+        monkeypatch.setattr(infosep.ib, "MAX_ITERS", 5)
+        r = ib_fixed_point(dsbs01, 2.0, restarts=0)
+        assert not r.converged
+        assert len(r.history) == 6
 
     def test_default_card(self, dsbs01):
         r = ib_fixed_point(dsbs01, 2.0)
