@@ -32,8 +32,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .common_info import gacs_korner, wyner_solve
 from .dist import (
@@ -48,7 +46,13 @@ from .dist import (
 )
 from .errors import InfosepError, InsufficientStatistic
 from .finfo import BUILTIN_GENERATORS, f_information
-from .harness import SolverConfig, random_refinement, refine_embedding, verify_separability
+from .harness import (
+    IB_BETAS,
+    SolverConfig,
+    random_refinement,
+    refine_embedding,
+    verify_separability,
+)
 from .ib import ib_curve, ib_fixed_point
 from .modal import minimal_sufficient_maps, modal_decompose, reduce_joint
 
@@ -101,8 +105,8 @@ def _load_maps(path: str, joint: JointDistribution):
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
-        s = DeterministicMap(np.asarray(doc["s"], dtype=np.int64))
-        t = DeterministicMap(np.asarray(doc["t"], dtype=np.int64))
+        s = DeterministicMap(doc["s"])
+        t = DeterministicMap(doc["t"])
     except (OSError, ValueError, TypeError, KeyError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse maps file {path!r}: {exc}")
     if s.domain_size != joint.nx or t.domain_size != joint.ny:
@@ -193,7 +197,7 @@ def _cmd_measures(args) -> int:
     joint, digest = _load_distribution(args.input)
     seed = _resolve_seed(args)
     unit = args.unit
-    betas = args.beta or [1.5, 2.0, 5.0]
+    betas = args.beta or IB_BETAS
     px, py = marginals(joint)
     # Every measure below except the entropies is invariant under sufficient
     # maps, so it is computed on the minimal sufficient alphabet.

@@ -27,7 +27,6 @@ from .dist import (
     InfoValue,
     JointDistribution,
     mutual_information,
-    pushforward,
     validate_and_trim,
 )
 from .errors import DimensionError, InsufficientStatistic, InvalidDistribution
@@ -231,7 +230,7 @@ def verify_separability(j: JointDistribution, s: DeterministicMap,
     if strict and not verdict.sufficient:
         raise InsufficientStatistic(
             f"maps are not sufficient: ratio gap {verdict.max_ratio_gap:.3e}")
-    red = pushforward(j, s, t)
+    red = verdict.reduced
     unit = cfg.unit
 
     rows = []

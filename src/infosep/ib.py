@@ -74,24 +74,26 @@ class IbSolution:
     history: tuple
 
 
-def _ib_information(q, px, pygx, py):
-    """Return (I(U;X), I(U;Y)) in nats for an encoder kernel q (nx, U)."""
-    pu = px @ q
-    puy = q.T @ (px[:, None] * pygx)
-    iux = (px[:, None] * rel_entr(q, pu[None, :])).sum()
-    iuy = rel_entr(puy, np.outer(pu, py)).sum()
-    return float(iux), float(iuy)
-
-
 def _ib_run(q0, px, pygx, py, beta):
-    """One self-consistent run; returns (q, converged, lagrangian trace in nats)."""
+    """One self-consistent run; returns (q, converged, history).
+
+    ``history`` holds the (I(U;X), I(U;Y)) pair in nats of the initial
+    kernel and of the kernel after each refresh cycle, so the last pair
+    belongs to the returned ``q``.  Each cycle computes P(U) and P(U,Y)
+    once, records the pair from them, then updates the kernel.
+    """
+    pxy = px[:, None] * pygx
     q = q0
-    iux, iuy = _ib_information(q, px, pygx, py)
-    history = [iux - beta * iuy]
+    history = []
     converged = False
-    for _ in range(MAX_ITERS):
+    for cycle in range(MAX_ITERS + 1):
         pu = px @ q
-        puy = q.T @ (px[:, None] * pygx)
+        puy = q.T @ pxy
+        iux = (px[:, None] * rel_entr(q, pu[None, :])).sum()
+        iuy = rel_entr(puy, np.outer(pu, py)).sum()
+        history.append((float(iux), float(iuy)))
+        if converged or cycle == MAX_ITERS:
+            break
         # P(Y|U=u), left 0 for an unused u
         pygu = np.divide(puy, pu[:, None], out=np.zeros_like(puy),
                          where=pu[:, None] > 0.0)
@@ -101,13 +103,8 @@ def _ib_run(q0, px, pygx, py, beta):
             lnq = np.log(pu)[None, :] - beta * dist
         lnq = lnq - logsumexp(lnq)
         qn = np.exp(lnq)
-        delta = float(np.max(np.abs(qn - q)))
+        converged = float(np.max(np.abs(qn - q))) <= CONV_TOL
         q = qn
-        iux, iuy = _ib_information(q, px, pygx, py)
-        history.append(iux - beta * iuy)
-        if delta <= CONV_TOL:
-            converged = True
-            break
     return q, converged, history
 
 
@@ -148,6 +145,7 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
                           lagrangian=InfoValue(0.0, unit), restarts_used=0,
                           converged=True, history=(0.0,))
 
+    beta = float(beta)
     px, py = marginals(j)
     pygx = conditional_kernel(j, "y|x").k
     rng = np.random.default_rng(seed)
@@ -160,15 +158,14 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
 
     runs = []
     for idx, q0 in enumerate(inits):
-        qf, conv, hist = _ib_run(np.array(q0, dtype=float), px, pygx, py,
-                                 float(beta))
-        runs.append((hist[-1], idx, qf, conv, hist))
-    best = min(runs, key=lambda r: (r[0], r[1]))
-    lag, _, qf, conv, hist = best
-    iux, iuy = _ib_information(qf, px, pygx, py)
+        qf, conv, pairs = _ib_run(np.array(q0, dtype=float), px, pygx, py,
+                                  beta)
+        hist = [iux - beta * iuy for iux, iuy in pairs]
+        runs.append((hist[-1], idx, qf, conv, hist, pairs[-1]))
+    lag, _, qf, conv, hist, (iux, iuy) = min(runs, key=lambda r: (r[0], r[1]))
     factor = 1.0 if unit == "nats" else 1.0 / LN2
     return IbSolution(
-        beta=float(beta),
+        beta=beta,
         card_u=card,
         kernel=ConditionalKernel(qf),
         i_ux=info_from_nats(iux, unit),

@@ -29,9 +29,7 @@ from .dist import (
     DeterministicMap,
     JointDistribution,
     conditional_kernel,
-    info_from_nats,
     marginals,
-    mutual_information,
     pushforward,
 )
 from .errors import DimensionError, InsufficientStatistic, NumericalError
@@ -127,12 +125,15 @@ def minimal_sufficient_maps(j: JointDistribution):
 
 @dataclass(frozen=True)
 class SufficiencyVerdict:
-    """Outcome of a sufficiency test for a pair of symbol maps."""
+    """Outcome of a sufficiency test for a pair of symbol maps.
+
+    ``reduced`` is the pushforward of the joint through (s, t), the table
+    the test compared against; it is returned whatever the verdict.
+    """
 
     sufficient: bool
     max_ratio_gap: float
-    cmi_s: float
-    cmi_t: float
+    reduced: JointDistribution
 
 
 def check_sufficiency(j: JointDistribution, s: DeterministicMap,
@@ -141,41 +142,27 @@ def check_sufficiency(j: JointDistribution, s: DeterministicMap,
 
     The criterion is equality of density ratios: the pair is sufficient iff
     P(x,y) / (P_X P_Y) equals the reduced ratio at (s(x), t(y)) for every
-    cell, within ``SUFFICIENCY_TOL``.  ``cmi_s`` and ``cmi_t`` report I(X;Y|s(X)) and I(X;Y|t(Y)) in
-    bits as corroborating diagnostics (both vanish for sufficient maps).
+    cell, within ``SUFFICIENCY_TOL``.  The table is aggregated once, by
+    `pushforward`, which raises `DimensionError` for maps that do not cover
+    the joint's alphabets; the aggregate is returned as ``reduced``.
     """
-    if s.domain_size != j.nx or t.domain_size != j.ny:
-        raise DimensionError(
-            f"maps cover ({s.domain_size}, {t.domain_size}) symbols, "
-            f"joint has ({j.nx}, {j.ny})")
     red = pushforward(j, s, t)
     px, py = marginals(j)
     ps, pt = marginals(red)
     ratio = j.p / np.outer(px, py)
     ratio_red = (red.p / np.outer(ps, pt))[np.ix_(s.assignment, t.assignment)]
     gap = float(np.max(np.abs(ratio - ratio_red)))
-
-    # I(X;Y|L) = I(X;Y) - I(L;Y) for L a function of X (chain rule), which
-    # stays O(nx * ny) where the (x, y, L) cube would not
-    mi = mutual_information(j, "nats").value
-
-    def cond_mi(merged):
-        return info_from_nats(mi - mutual_information(merged, "nats").value).value
-
-    return SufficiencyVerdict(
-        sufficient=gap <= SUFFICIENCY_TOL,
-        max_ratio_gap=gap,
-        cmi_s=cond_mi(pushforward(j, s, DeterministicMap.identity(j.ny))),
-        cmi_t=cond_mi(pushforward(j, DeterministicMap.identity(j.nx), t)),
-    )
+    return SufficiencyVerdict(sufficient=gap <= SUFFICIENCY_TOL,
+                              max_ratio_gap=gap, reduced=red)
 
 
 def reduce_joint(j: JointDistribution, s: DeterministicMap, t: DeterministicMap,
                  strict: bool = False) -> JointDistribution:
     """Aggregate ``j`` through (s, t); with ``strict`` require sufficiency."""
-    if strict:
-        verdict = check_sufficiency(j, s, t)
-        if not verdict.sufficient:
-            raise InsufficientStatistic(
-                f"density-ratio gap {verdict.max_ratio_gap:.3e} exceeds {SUFFICIENCY_TOL:g}")
-    return pushforward(j, s, t)
+    if not strict:
+        return pushforward(j, s, t)
+    verdict = check_sufficiency(j, s, t)
+    if not verdict.sufficient:
+        raise InsufficientStatistic(
+            f"density-ratio gap {verdict.max_ratio_gap:.3e} exceeds {SUFFICIENCY_TOL:g}")
+    return verdict.reduced

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import infosep.dist
 from infosep.harness import dsbs, random_refinement, refine_embedding
 
 settings.register_profile(
@@ -43,3 +46,25 @@ def dsbs01_refined(dsbs01):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pushforward_calls(monkeypatch):
+    """A list that gains one entry per `pushforward` call.
+
+    Every ``infosep`` module that binds the function gets the counting
+    wrapper, so a call counts whichever module makes it.
+    """
+    real = infosep.dist.pushforward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "infosep" or name.startswith("infosep."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -10,6 +10,7 @@ from infosep.dist import (
     DeterministicMap,
     InfoValue,
     JointDistribution,
+    conditional_mutual_information,
     info_from_nats,
     marginals,
 )
@@ -90,3 +91,16 @@ def refines(fine: DeterministicMap, coarse: DeterministicMap) -> bool:
         raise ValueError("maps are defined on different domains")
     pairs = set(zip(fine.assignment.tolist(), coarse.assignment.tolist()))
     return len(pairs) == fine.image_size
+
+
+def cube_cmi(j: JointDistribution, mapping: DeterministicMap, axis: int) -> float:
+    """I(X;Y|L) in bits for a label L = mapping(X) (axis 0) or mapping(Y) (1).
+
+    Builds the dense (x, y, label) cube and takes its conditional mutual
+    information directly; it vanishes exactly when the map is sufficient
+    for its coordinate.
+    """
+    xs, ys = np.meshgrid(np.arange(j.nx), np.arange(j.ny), indexing="ij")
+    cube = np.zeros((j.nx, j.ny, mapping.image_size))
+    cube[xs, ys, mapping.assignment[xs if axis == 0 else ys]] = j.p
+    return conditional_mutual_information(cube).value

@@ -324,11 +324,14 @@ class TestVerify:
 
     def test_given_maps_pass(self, capsys, rowdup_file, tmp_path):
         maps = tmp_path / "maps.json"
-        maps.write_text(json.dumps({"s": [0, 0, 1], "t": [0, 1]}))
-        code = main(["verify", rowdup_file, "--maps", str(maps),
-                     "--restarts", "2", "--wyner-card", "2"])
-        capsys.readouterr()
-        assert code == EXIT_OK
+        # integral floats are integers, as DeterministicMap reads them
+        for s in ([0, 0, 1], [0.0, 0.0, 1.0]):
+            maps.write_text(json.dumps({"s": s, "t": [0, 1]}))
+            code, doc = run_json(capsys, [
+                "verify", rowdup_file, "--maps", str(maps),
+                "--restarts", "2", "--wyner-card", "2"])
+            assert code == EXIT_OK
+            assert doc["report"]["s"] == [0, 0, 1]
 
     def test_lossy_maps_fail(self, capsys, tmp_path):
         path = tmp_path / "ident.json"
@@ -393,11 +396,16 @@ class TestVerify:
         assert err.startswith("error: ") and "--auto-refine" in err
         assert err.count("\n") == 1
 
-    def test_bad_maps_file(self, dsbs_file, tmp_path):
+    def test_bad_maps_file(self, capsys, dsbs_file, tmp_path):
         maps = tmp_path / "maps.json"
-        maps.write_text(json.dumps({"s": [0, 0, 0]}))  # wrong length, no t
-        assert main(["verify", dsbs_file,
-                     "--maps", str(maps)]) == EXIT_PARSE
+        for doc in ({"s": [0, 0, 0]},  # wrong length, no t
+                    {"s": [0, 1.5], "t": [0, 1]},  # not integral
+                    {"s": ["0", "1"], "t": [0, 1]}):  # not numbers
+            maps.write_text(json.dumps(doc))
+            assert main(["verify", dsbs_file,
+                         "--maps", str(maps)]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestIbSweep:

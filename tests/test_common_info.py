@@ -23,7 +23,6 @@ from infosep.dist import (
     lift_conditional,
     marginals,
     mutual_information,
-    pushforward,
     validate_and_trim,
 )
 from infosep.errors import DimensionError

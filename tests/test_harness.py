@@ -22,7 +22,7 @@ from infosep.harness import (
     verify_separability,
 )
 from infosep.modal import check_sufficiency, minimal_sufficient_maps, modal_decompose
-from oracles import refines
+from oracles import cube_cmi, refines
 
 CHEAP = SolverConfig(seed=0, restarts=3, wyner_card=4, wyner_max_iters=300)
 
@@ -117,8 +117,8 @@ class TestRefinement:
                 random_refinement(base, 5, 6, seed=seed))
             v = check_sufficiency(j, s, t)
             assert v.max_ratio_gap <= 1e-12
-            assert float(v.cmi_s) <= 1e-10
-            assert float(v.cmi_t) <= 1e-10
+            assert cube_cmi(j, s, 0) <= 1e-10
+            assert cube_cmi(j, t, 1) <= 1e-10
             # X - S - T - Y: I(X; T | S) = 0 and I(S; Y | T) = 0
             nx, ny = j.nx, j.ny
             pxst = np.zeros((nx, s.image_size, t.image_size))
@@ -175,6 +175,13 @@ class TestVerifySeparability:
             exact = row.measure in ("mi", "gk") or row.measure.startswith("f:")
             assert exact or row.measure.startswith(("wyner", "ib[", "theta["))
             assert row.tol == (1e-9 if exact else 5e-3), row
+
+    def test_strict_aggregates_once(self, dsbs01_refined, pushforward_calls):
+        j, s, t = dsbs01_refined
+        rep = verify_separability(j, s, t, measures=("mi", "gk"), config=CHEAP,
+                                  strict=True)
+        assert rep.overall
+        assert len(pushforward_calls) == 1
 
     def test_insufficient_maps_reported_not_raised(self):
         j = JointDistribution(np.eye(2) / 2)

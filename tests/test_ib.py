@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import infosep.ib
-from infosep.dist import JointDistribution, entropy, marginals, mutual_information
+from infosep.dist import JointDistribution, mutual_information, validate_and_trim
 from infosep.errors import DimensionError
-from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
+from infosep.harness import random_joint, random_refinement, refine_embedding
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
 
@@ -99,6 +99,21 @@ class TestFixedPoint:
             assert float(r.lagrangian) <= 1e-9
             np.testing.assert_allclose(r.kernel.k.sum(axis=1), 1.0,
                                        atol=1e-9)
+
+    def test_outputs_match_the_kernel(self, dsbs01):
+        # the reported informations and Lagrangian belong to the returned kernel
+        for j in (dsbs01, random_joint(3, 3, seed=0), random_joint(4, 3, seed=2)):
+            px = j.p.sum(axis=1)
+            for beta in (1.5, 2.0, 5.0):
+                for restarts in (0, 10):
+                    r = ib_fixed_point(j, beta, restarts=restarts)
+                    q = r.kernel.k
+                    i_ux = mutual_information(validate_and_trim(px[:, None] * q))
+                    i_uy = mutual_information(validate_and_trim(q.T @ j.p))
+                    assert float(r.i_ux) == pytest.approx(i_ux.value, abs=1e-12)
+                    assert float(r.i_uy) == pytest.approx(i_uy.value, abs=1e-12)
+                    assert r.history[-1] == pytest.approx(float(r.lagrangian),
+                                                          abs=1e-12)
 
     def test_deterministic_given_seed(self, dsbs01):
         a = ib_fixed_point(dsbs01, 3.0, seed=9)

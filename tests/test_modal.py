@@ -8,11 +8,10 @@ import pytest
 from infosep.dist import (
     DeterministicMap,
     JointDistribution,
-    conditional_mutual_information,
     marginals,
     mutual_information,
 )
-from infosep.errors import InsufficientStatistic
+from infosep.errors import DimensionError, InsufficientStatistic
 from infosep.harness import random_joint
 from infosep.modal import (
     check_sufficiency,
@@ -20,7 +19,7 @@ from infosep.modal import (
     modal_decompose,
     reduce_joint,
 )
-from oracles import refines
+from oracles import cube_cmi, refines
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 ROWDUP = np.array([[0.3, 0.1], [0.15, 0.05], [0.1, 0.3]])
@@ -239,35 +238,32 @@ class TestCheckSufficiency:
 
     def test_constant_map_on_identity_joint(self):
         j = JointDistribution(np.eye(2) / 2)
-        v = check_sufficiency(j, DeterministicMap.constant(2),
-                              DeterministicMap.identity(2))
+        s = DeterministicMap.constant(2)
+        v = check_sufficiency(j, s, DeterministicMap.identity(2))
         assert not v.sufficient
         assert v.max_ratio_gap > 0.5
-        assert float(v.cmi_s) > 0.5
+        assert cube_cmi(j, s, 0) > 0.5
+        np.testing.assert_array_equal(v.reduced.p, [[0.5, 0.5]])
 
-    def test_refinement_maps(self, dsbs01_refined):
+    def test_refinement_maps(self, dsbs01, dsbs01_refined):
         j, s, t = dsbs01_refined
         v = check_sufficiency(j, s, t)
         assert v.sufficient
         assert v.max_ratio_gap <= 1e-12
-        assert float(v.cmi_s) <= 1e-10
-        assert float(v.cmi_t) <= 1e-10
+        assert cube_cmi(j, s, 0) <= 1e-10
+        assert cube_cmi(j, t, 1) <= 1e-10
+        np.testing.assert_allclose(v.reduced.p, dsbs01.p, atol=1e-12)
 
-    def test_cmi_matches_trivariate_reference(self):
-        def cube_cmi(j, mapping, axis):
-            xs, ys = np.meshgrid(np.arange(j.nx), np.arange(j.ny), indexing="ij")
-            cube = np.zeros((j.nx, j.ny, mapping.image_size))
-            cube[xs, ys, mapping.assignment[xs if axis == 0 else ys]] = j.p
-            return conditional_mutual_information(cube).value
+    def test_aggregates_once(self, dsbs01_refined, pushforward_calls):
+        j, s, t = dsbs01_refined
+        check_sufficiency(j, s, t)
+        assert len(pushforward_calls) == 1
 
-        rng = np.random.default_rng(11)
-        for seed in range(6):
-            j = random_joint(5, 4, seed=seed)
-            s = DeterministicMap(np.unique(rng.integers(0, 3, 5), return_inverse=True)[1])
-            t = DeterministicMap(np.unique(rng.integers(0, 2, 4), return_inverse=True)[1])
-            v = check_sufficiency(j, s, t)
-            assert v.cmi_s == pytest.approx(cube_cmi(j, s, 0), abs=1e-12)
-            assert v.cmi_t == pytest.approx(cube_cmi(j, t, 1), abs=1e-12)
+    def test_mismatched_maps_rejected(self, dsbs01):
+        with pytest.raises(DimensionError,
+                           match=r"maps cover \(3, 2\) symbols, joint has \(2, 2\)"):
+            check_sufficiency(dsbs01, DeterministicMap.identity(3),
+                              DeterministicMap.identity(2))
 
     def test_memory_linear_in_table_size(self):
         j = random_joint(300, 300, seed=0)
@@ -299,6 +295,13 @@ class TestReduceJoint:
     def test_refined_dsbs_comes_back(self, dsbs01, dsbs01_refined):
         j, s, t = dsbs01_refined
         out = reduce_joint(j, s, t)
+        np.testing.assert_allclose(out.p, dsbs01.p, atol=1e-12)
+
+    def test_strict_aggregates_once(self, dsbs01, dsbs01_refined,
+                                    pushforward_calls):
+        j, s, t = dsbs01_refined
+        out = reduce_joint(j, s, t, strict=True)
+        assert len(pushforward_calls) == 1
         np.testing.assert_allclose(out.p, dsbs01.p, atol=1e-12)
 
     def test_strict_mode_rejects_lossy_maps(self):

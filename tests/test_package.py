@@ -1,7 +1,9 @@
 """The package's public surface."""
 
+import ast
 import dataclasses
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -10,10 +12,10 @@ from infosep.dist import ConditionalKernel, DeterministicMap
 from infosep.harness import SolverConfig
 from infosep.modal import SufficiencyVerdict
 
-#: names that only tests used; the Wyner grid oracle lives in tests/oracles.py
+#: names deleted from the package; the Wyner grid oracle lives in tests/oracles.py
 REMOVED = ("CdkMatrix", "cdk_matrix", "reconstruct_joint",
            "maximal_correlation", "InconsistentDecomposition",
-           "wyner_grid_oracle", "NoFeasiblePoint")
+           "wyner_grid_oracle", "NoFeasiblePoint", "_ib_information")
 
 
 def submodules():
@@ -37,9 +39,37 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(DeterministicMap, "refines")
     assert not hasattr(ConditionalKernel, "cols")
-    assert "tol" not in {f.name for f in dataclasses.fields(SufficiencyVerdict)}
+    assert not {"tol", "cmi_s", "cmi_t"} & {
+        f.name for f in dataclasses.fields(SufficiencyVerdict)}
+
+
+def test_sufficiency_verdict_fields():
+    assert [f.name for f in dataclasses.fields(SufficiencyVerdict)] == [
+        "sufficient", "max_ratio_gap", "reduced"]
 
 
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "seed", "restarts", "unit", "wyner_card", "wyner_max_iters"]
+
+
+def unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # a package __init__ imports its exports, so it is left out
+    dirs = (pathlib.Path(infosep.__file__).parent, pathlib.Path(__file__).parent)
+    found = {str(path): names
+             for d in dirs for path in sorted(d.glob("*.py"))
+             if path.name != "__init__.py" and (names := unused_imports(path))}
+    assert not found
