@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``measures``  -- entropies, mutual information, f-informations, spectrum,
-  common-information estimates for one input distribution; all but the
-  entropies are computed on its minimal sufficient reduction;
+  the Gacs-Korner common part, an upper bound on the Wyner common
+  information and bottleneck points for one input distribution; all but
+  the entropies are computed on its minimal sufficient reduction;
 * ``reduce``    -- minimal sufficient maps and the reduced distribution;
 * ``verify``    -- separability battery for given maps or an auto-refined
   instance;
@@ -35,7 +36,6 @@ import sys
 from . import __version__
 from .common_info import gacs_korner, wyner_solve
 from .dist import (
-    LN2,
     MAX_SOLVER_ENTRIES,
     DeterministicMap,
     JointDistribution,
@@ -167,9 +167,6 @@ def _check_flags(args) -> None:
         _fail(EXIT_PARSE, f"--restarts must be non-negative, got {args.restarts}")
     for beta in getattr(args, "beta", None) or ():
         _check_beta("--beta", beta)
-    tol = getattr(args, "tol", 0.0)
-    if not 0.0 <= tol < math.inf:
-        _fail(EXIT_PARSE, f"--tol must be non-negative and finite, got {tol:g}")
     # The refined table is built dense, so its size is checked before it is.
     nx, ny = getattr(args, "auto_refine", None) or (0, 0)
     if min(nx, ny) > 0 and nx * ny > MAX_SOLVER_ENTRIES:
@@ -208,9 +205,8 @@ def _cmd_measures(args) -> int:
         red = joint
     md = modal_decompose(red)
     gk = gacs_korner(red, unit=unit)
-    tol_bits = args.tol if unit == "bits" else args.tol / LN2
     wyner = wyner_solve(red, card_w=args.wyner_card, restarts=args.restarts,
-                        residual_tol=tol_bits, seed=seed, unit=unit)
+                        seed=seed, unit=unit)
     ib_block = {}
     for beta in betas:
         sol = ib_fixed_point(red, beta, restarts=args.restarts, seed=seed,
@@ -224,7 +220,7 @@ def _cmd_measures(args) -> int:
     doc = _base_doc(args, args.input, digest, joint, seed)
     doc["input"].update(reduced_nx=red.nx, reduced_ny=red.ny)
     doc["config"] = {"restarts": args.restarts, "betas": list(betas),
-                     "tol": args.tol, "wyner_card": args.wyner_card}
+                     "wyner_card": args.wyner_card}
     doc["measures"] = {
         "h_x": entropy(px, unit).value,
         "h_y": entropy(py, unit).value,
@@ -347,9 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--beta", type=float, action="append", default=None,
                    help="bottleneck multiplier (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="feasibility tolerance for the relaxation solver, "
-                        "in the report unit")
     p.add_argument("--wyner-card", type=int, default=None,
                    help="Wyner auxiliary cardinality on the reduced alphabet "
                         "(default: reduced nx*ny)")

@@ -14,31 +14,33 @@ labeller in `_grouping`.
 
 Stochastic common information (Wyner): the least I(W; X, Y) over auxiliary
 variables W making X and Y conditionally independent.  `wyner_solve`
-minimizes the penalized objective I(W;X,Y) + lam * I(X;Y|W) over conditional
-kernels P(w | x, y) by multi-start exponentiated-gradient descent with the
-penalty weight ramped over the fixed schedule (1, 10, 100, 1000); a run is
-accepted when its final conditional mutual information falls below the
-feasibility tolerance.  The starts are independent runs, so they advance in
-lockstep as one batch: each array operation of a descent round serves every
-start at once, and each start's result is the one it gives when run alone.
-Results are deterministic given (seed, restarts).
+returns a certified upper bound on it.  It minimizes the penalized objective
+I(W;X,Y) + lam * I(X;Y|W) over conditional kernels P(w | x, y) by
+multi-start exponentiated-gradient descent, with the penalty weight ramped
+over the fixed schedule (1, 10, 100).  Each descent result is then factored
+into a latent-class model, polished by EM and repaired into an auxiliary W'
+with X ⊥ Y | W' exactly and the (x, y) marginal exactly P (see
+`_wyner_certify`), so its I(W';X,Y) bounds the Wyner value from above.  The
+starts are independent runs, so they advance in lockstep as one batch: each
+array operation of a descent round serves every start at once, and each
+start's result is the one it gives when run alone.  Results are
+deterministic given (seed, restarts).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._grouping import group_rows, label_components
 from .dist import (
-    LN2,
     MAX_SOLVER_ENTRIES,
     ConditionalKernel,
     DeterministicMap,
     InfoValue,
     JointDistribution,
+    conditional_mutual_information,
     entropy,
     info_from_nats,
     logsumexp,
@@ -53,9 +55,13 @@ UNIT_TOL = 1e-8
 #: feature rows within this in sup norm belong to one common symbol
 FEATURE_GROUP_TOL = 1e-8
 #: penalty weight schedule for the Wyner solver
-PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+PENALTY_SCHEDULE = (1.0, 10.0, 100.0)
 #: kernel entries are floored at this to keep logarithms finite
 KERNEL_FLOOR = 1e-16
+#: kernel entries below this are cut to zero before the Wyner certificate
+SUPPORT_CUT = 1e-10
+#: EM steps that polish the latent-class model of the Wyner certificate
+POLISH_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -145,11 +151,15 @@ def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:
 
 @dataclass(frozen=True)
 class WynerResult:
-    """Outcome of the penalized Wyner minimization.
+    """A certified upper bound on the Wyner common information.
 
-    ``kernel`` holds P(w | x, y) with rows indexed by the flattened (x, y)
-    cell in row-major order.  ``markov_residual`` is the achieved I(X;Y|W);
-    ``converged`` records whether any restart met the feasibility tolerance.
+    ``kernel`` holds P(w | x, y) of an auxiliary that achieves ``value``,
+    with rows indexed by the flattened (x, y) cell in row-major order; it
+    makes X and Y conditionally independent, and ``markov_residual`` is its
+    I(X;Y|W), zero up to rounding.  ``card_w`` is the auxiliary alphabet of
+    the descent; the kernel has ``card_w + min(nx, ny)`` columns, at least
+    ``max(nx, ny)`` (see `wyner_solve`).  ``converged`` is False when a
+    descent stage of the winning start stopped at ``max_iters``.
     """
 
     value: InfoValue
@@ -307,33 +317,99 @@ def _start_kernel(kind, nx, ny, card, rng):
     return rng.dirichlet(np.ones(card), size=nx * ny).reshape(nx, ny, card)
 
 
-def wyner_solve(j: JointDistribution, card_w: int | None = None,
-                restarts: int = 10, max_iters: int = 1000,
-                residual_tol: float = 1e-6, seed: int = 0,
-                unit: str = "bits") -> WynerResult:
-    """Penalty-method estimate of the Wyner common information.
+def _wyner_certify(q, p, width):
+    """Exactly feasible auxiliaries built from a stack of kernels.
 
-    Runs the penalty-schedule descent from two deterministic starts (W a
-    copy of X and W a copy of Y, both exactly feasible when the auxiliary
-    alphabet is large enough) plus ``restarts`` seeded Dirichlet(1) random
-    kernels.  ``residual_tol`` is in bits.  Among runs that end feasible the
-    smallest value wins, ties broken by start index; if none is feasible the
-    run with the smallest residual is returned with ``converged=False``.
+    ``q`` is a stack ``(starts, nx, ny, card)`` of kernels P(w | x, y) for
+    the table ``p``.  For each start, in one batch:
+
+    * factor: entries below ``SUPPORT_CUT`` are cut (the floor puts mass on
+      every cell, so without the cut every atom below would start out on
+      the zero cells of the table), then P(x, w) and B(y|w) are formed;
+    * polish: ``POLISH_STEPS`` EM steps of the latent-class model
+      P~(x, y) = sum_w P(x, w) B(y|w), which lower KL(P || P~) and keep
+      zero patterns (KL-NMF);
+    * repair: atoms that still put mass on a cell with P(x, y) = 0 are
+      dropped, so that the scale below is not 0.  With s = min(1, min of
+      P / P~ over P~ > 0), W' holds the atoms s * P(x, w) B(y|w), under
+      which X and Y are independent, and one symbol per x carrying the
+      leftover P(x, y) - s * P~(x, y), on which X is constant.  So
+      X ⊥ Y | W' holds exactly and P(x, y) is kept.  When Y has fewer
+      symbols, the leftover is grouped per y instead.
+
+    Returns the kernels of the W', shaped ``(starts, nx, ny, width)`` with
+    the atoms in the first ``card`` columns and the leftover of x in column
+    ``card + x`` (a zero-probability cell puts its whole row there), and
+    their I(W';X,Y) in nats.
+    """
+    if p.shape[1] < p.shape[0]:
+        k, values = _wyner_certify(q.swapaxes(1, 2), p.T, width)
+        return k.swapaxes(1, 2), values
+    starts, nx, ny, card = q.shape
+    q = np.where(q < SUPPORT_CUT, 0.0, q)
+    a = (p[:, None, :] @ q)[:, :, 0, :]                   # P(x, w)
+    b = (p.T[:, None, :] @ q.swapaxes(1, 2))[:, :, 0, :]  # P(y, w)
+    del q
+
+    def per_symbol(joint):
+        pw = joint.sum(axis=1, keepdims=True)
+        return np.divide(joint, pw, out=np.zeros_like(joint), where=pw > 0.0)
+
+    on = p > 0.0
+    B = per_symbol(b)
+    for _ in range(POLISH_STEPS):
+        pt = a @ B.swapaxes(1, 2)
+        r = np.divide(p, pt, out=np.zeros_like(pt), where=on & (pt > 0.0))
+        a, B = a * (r @ B), per_symbol(B * (r.swapaxes(1, 2) @ a))
+    leaks = (a * ((~on).astype(float) @ B)).sum(axis=1) > 0.0
+    a = np.where(leaks[:, None, :], 0.0, a)
+    pt = a @ B.swapaxes(1, 2)
+    ratio = np.divide(p, pt, out=np.full_like(pt, np.inf), where=pt > 0.0)
+    scale = np.minimum(ratio.min(axis=(1, 2)), 1.0)[:, None, None]
+    k = np.zeros((starts, nx, ny, width))
+    k[..., :card] = (scale * a)[:, :, None, :] * B[:, None, :, :]
+    xs = np.arange(nx)
+    k[:, xs, :, card + xs] = np.maximum(p - scale * pt, 0.0).swapaxes(0, 1)
+    np.divide(k, p[..., None], out=k, where=on[..., None])
+    zx, zy = np.nonzero(~on)
+    k[:, zx, zy, card + zx] = 1.0
+    pj = p[..., None] * k
+    pw = pj.sum(axis=(1, 2))[:, None, None, :]
+    return k, rel_entr(pj, p[..., None] * pw).sum(axis=(1, 2, 3))
+
+
+def wyner_solve(j: JointDistribution, card_w: int | None = None,
+                restarts: int = 10, max_iters: int = 1000, seed: int = 0,
+                unit: str = "bits") -> WynerResult:
+    """Certified upper bound on the Wyner common information.
+
+    Runs the penalty-schedule descent (weights ``PENALTY_SCHEDULE``, each
+    stage at most ``max_iters`` accepted steps) on kernels with ``card_w``
+    auxiliary symbols, from two deterministic starts (W a copy of X and W a
+    copy of Y, when ``card_w`` is large enough) plus ``restarts`` seeded
+    Dirichlet(1) random kernels.  Each final kernel is then repaired into
+    an auxiliary W' that makes X and Y exactly conditionally independent
+    and keeps P(x, y) exactly (see `_wyner_certify`), so I(W';X,Y) is at
+    least the Wyner value.  Since W = X and W = Y are feasible too, a
+    start's certified value is ``min(I(W';X,Y), H(X), H(Y))``.  The
+    smallest certified value wins, ties broken by start index.
+
+    The returned kernel achieves ``value``.  Its first ``card_w`` columns
+    are the descent's symbols and the next ``min(nx, ny)`` hold the repair's
+    leftover, one symbol per symbol of the smaller alphabet; it has at least
+    ``max(nx, ny)`` columns, so that the copies of X and of Y fit.
+    ``converged`` is False when a stage of the winning start stopped at
+    ``max_iters`` accepted steps; the value is a valid bound either way.
 
     The starts run in lockstep as one batch (see `_wyner_stage`), in chunks
-    of at most ``MAX_SOLVER_ENTRIES`` kernel entries; each start's result is
-    the one it gives when run alone.
+    whose certified kernels hold at most ``MAX_SOLVER_ENTRIES`` entries;
+    each start's result is the one it gives when run alone.
 
-    The finite penalty weights bias the value low: it can fall slightly
-    below the true common information (on DSBS(0.1), 0.8726099 bits against
-    the closed form 0.8727606).  Value plus residual always bounds I(X;Y)
-    from above, so the value is usable even for unconverged runs.
-
-    Raises `ValueError` for a negative ``restarts`` or a negative or
-    non-finite ``residual_tol``.  Raises `DimensionError` before allocating
-    when there is no start (``card_w`` below both ``nx`` and ``ny`` and no
-    restarts) or when the kernel would hold more than ``MAX_SOLVER_ENTRIES``
-    (``nx * ny * card_w``) entries.
+    Raises `ValueError` for a negative ``restarts``.  Raises
+    `DimensionError` before allocating when there is no start (``card_w``
+    below both ``nx`` and ``ny`` and no restarts) or when the returned
+    kernel would hold more than ``MAX_SOLVER_ENTRIES`` entries
+    (``nx * ny`` times its column count).
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny
@@ -342,13 +418,13 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
         raise DimensionError("card_w must be at least 1")
     if restarts < 0:
         raise ValueError("restarts must be non-negative")
-    if not (math.isfinite(residual_tol) and residual_tol >= 0.0):
-        raise ValueError("residual_tol must be non-negative and finite")
-    if nx * ny * card > MAX_SOLVER_ENTRIES:
+    width = max(card + min(nx, ny), nx, ny)
+    if nx * ny * width > MAX_SOLVER_ENTRIES:
         raise DimensionError(
-            f"Wyner kernel of {nx}x{ny} cells by {card} auxiliary symbols "
-            f"exceeds {MAX_SOLVER_ENTRIES} entries; lower card_w "
-            f"(--wyner-card) or reduce the input")
+            f"Wyner kernel of {nx}x{ny} cells by {width} auxiliary symbols "
+            f"({card} from card_w, the rest for the certificate) exceeds "
+            f"{MAX_SOLVER_ENTRIES} entries; lower card_w (--wyner-card) or "
+            f"reduce the input")
     kinds = (["x"] * (card >= nx) + ["y"] * (card >= ny)
              + ["dirichlet"] * restarts)
     if not kinds:
@@ -361,9 +437,11 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     support = (pxy > 0.0).astype(float)
     h_xy = float(rel_entr(pxy, 1.0).sum())
     rng = np.random.default_rng(seed)
+    px, py = marginals(j)
+    cap = min((entropy(px, "nats").value, "x"),
+              (entropy(py, "nats").value, "y"))
 
-    resid_limit = residual_tol * LN2  # tolerance is stated in bits
-    chunk = max(1, MAX_SOLVER_ENTRIES // (nx * ny * card))
+    chunk = max(1, MAX_SOLVER_ENTRIES // (nx * ny * width))
     best = None
     for lo in range(0, len(kinds), chunk):
         idxs = range(lo, min(lo + chunk, len(kinds)))
@@ -372,6 +450,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
         # Per-run generators for the stage-transition jitter below; keyed by
         # (seed, index) so runs stay reproducible individually.
         run_rngs = [np.random.default_rng((seed, i)) for i in idxs]
+        capped = np.zeros(len(idxs), dtype=bool)
         for stage, lam in enumerate(PENALTY_SCHEDULE):
             if stage:
                 # Constant-W kernels are exact fixed points of the row-wise
@@ -382,22 +461,25 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # leave the degenerate point; the stage re-converges anyway.
                 q = _jitter(q, run_rngs)
             tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q, _ = _wyner_stage(q, pxy, h_xy, support, lam,
-                                max_iters, step_tol=tol)
-        values, resids = _wyner_eval(q, pxy, h_xy)[:2]
+            q, steps = _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
+                                    step_tol=tol)
+            capped |= steps >= max_iters
+        kernels, values = _wyner_certify(q, j.p, width)
         for k, i in enumerate(idxs):
-            value, resid = float(values[k]), max(float(resids[k]), 0.0)
-            # feasible runs first, by value; otherwise by residual
-            key = (0, value, i) if resid <= resid_limit else (1, resid, i)
+            key = (min(float(values[k]), cap[0]), i)
             if best is None or key < best[0]:
-                best = (key, value, resid, q[k].reshape(nx * ny, card).copy())
-    key, value, resid, q = best
+                kernel = (kernels[k].copy() if values[k] <= cap[0]
+                          else None)
+                best = (key, kernel, bool(capped[k]))
+    (value, _), kernel, capped = best
+    if kernel is None:
+        kernel = _start_kernel(cap[1], nx, ny, width, None)
+    resid = conditional_mutual_information(pxy * kernel, unit)
     return WynerResult(
         value=info_from_nats(value, unit),
         card_w=card,
-        kernel=ConditionalKernel(q),
-        markov_residual=info_from_nats(resid, unit),
+        kernel=ConditionalKernel(kernel.reshape(nx * ny, width)),
+        markov_residual=resid,
         restarts_used=len(kinds),
-        converged=key[0] == 0,
+        converged=not capped,
     )
-

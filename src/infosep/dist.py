@@ -221,12 +221,19 @@ class DeterministicMap:
     image_size: int | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.assignment)
+        raw = self.assignment
+        arr = np.asarray(raw)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidMap("assignment must be a nonempty 1-d integer array")
+        # numpy reads [0, True] as integers, so a list is checked entry-wise
+        if arr.dtype == bool or (not isinstance(raw, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in raw)):
+            raise InvalidMap("assignment entries must be integers, not booleans")
         if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise InvalidMap("assignment entries must be integers")
+            # checked before the cast, which warns on these
+            if not np.all(np.isfinite(arr) & (np.abs(arr) < 2.0**63)
+                          & (arr == np.floor(arr))):
+                raise InvalidMap("assignment entries must be finite integers")
         arr = arr.astype(np.int64)
         size = self.image_size
         if size is None:
@@ -263,6 +270,8 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     per-call dispatch cost, which dominates on the solvers' small matrices.
     """
     m = a.max(axis=-1, keepdims=True)
+    if np.isfinite(m).all():  # every row has a finite entry: no fix-up
+        return np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m
     m[~np.isfinite(m)] = 0.0
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m

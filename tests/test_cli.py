@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import infosep.cli
+import infosep.common_info
 from infosep.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from infosep.common_info import gacs_korner, wyner_solve
 from infosep.dist import DeterministicMap, mutual_information
@@ -87,16 +88,25 @@ class TestMeasures:
         err = capsys.readouterr().err
         assert err.startswith("error: --beta") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_bad_tol_flag(self, capsys, tmp_path, tol):
-        missing = str(tmp_path / "never-read.json")
-        assert main(["measures", missing, f"--tol={tol}"]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("error: --tol") and err.count("\n") == 1
-
     def test_solver_size_limit(self, capsys, tmp_path):
         path = _write(tmp_path, "big.json", random_joint(100, 100, seed=0).p)
         assert main(["measures", path, "--restarts", "0"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--wyner-card" in err
+
+    def test_solver_size_limit_counts_certificate_columns(
+            self, capsys, monkeypatch, tmp_path):
+        # 256x256 cells by 64 symbols is exactly 2**22 entries, but the
+        # certified kernel has 64 + 256 columns, so nothing is solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver started above the size limit")
+
+        for name in ("_start_kernel", "_wyner_stage", "_wyner_certify"):
+            monkeypatch.setattr(infosep.common_info, name, refuse)
+        path = _write(tmp_path, "big.json", random_joint(256, 256, seed=0).p)
+        assert main(["measures", path, "--wyner-card", "64",
+                     "--restarts", "1"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--wyner-card" in err
@@ -400,12 +410,16 @@ class TestVerify:
         maps = tmp_path / "maps.json"
         for doc in ({"s": [0, 0, 0]},  # wrong length, no t
                     {"s": [0, 1.5], "t": [0, 1]},  # not integral
-                    {"s": ["0", "1"], "t": [0, 1]}):  # not numbers
+                    {"s": ["0", "1"], "t": [0, 1]},  # not numbers
+                    {"s": [True, False], "t": [0, 1]},  # booleans
+                    {"s": [0, float("inf")], "t": [0, 1]},  # Infinity
+                    {"s": [0, 1e30], "t": [0, 1]}):  # beyond int64
             maps.write_text(json.dumps(doc))
             assert main(["verify", dsbs_file,
                          "--maps", str(maps)]) == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Warning" not in err
 
 
 class TestIbSweep:

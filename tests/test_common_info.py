@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import infosep.common_info
 from infosep.common_info import (
     _renormalize,
     _start_kernel,
@@ -57,6 +60,13 @@ def block_joint(masses, sizes, seed=0):
         ox += bx
         oy += by
     return JointDistribution(p)
+
+
+def zeroed_cell(seed, cell):
+    """``random_joint(3, 3, seed)`` with one cell set to zero."""
+    p = random_joint(3, 3, seed=seed).p.copy()
+    p.ravel()[cell] = 0.0
+    return validate_and_trim(p)
 
 
 def two_block_uniform():
@@ -196,8 +206,35 @@ class TestWynerSolve:
     def test_dsbs_closed_form(self, dsbs01):
         r = wyner_solve(dsbs01, card_w=2, restarts=10, seed=0)
         assert r.converged
-        assert float(r.value) == pytest.approx(WYNER_DSBS01, abs=5e-3)
+        assert float(r.value) == pytest.approx(WYNER_DSBS01, abs=1e-6)
         assert float(r.markov_residual) <= 1e-6
+
+    def test_iteration_cap_reports_unconverged(self, dsbs01):
+        # five steps per stage leave the descent far from a stationary point;
+        # the value is still a certified bound, just a loose one
+        capped = wyner_solve(dsbs01, card_w=2, restarts=2, max_iters=5, seed=0)
+        assert not capped.converged
+        assert WYNER_DSBS01 - 1e-12 <= float(capped.value) <= 1.0
+        full = wyner_solve(dsbs01, card_w=2, restarts=2, seed=0)
+        assert full.converged
+        assert float(full.value) < float(capped.value)
+
+    @pytest.mark.parametrize("j", [
+        block_joint([0.5, 0.5], [(2, 2), (2, 2)], seed=0),
+        block_joint([0.3, 0.7], [(2, 3), (3, 2)], seed=1),
+        block_joint([0.5, 0.5], [(1, 1), (3, 3)], seed=4),
+        zeroed_cell(0, 1),
+        zeroed_cell(2, 1),
+    ], ids=["blocks2x2", "blocks2x3", "blocks1x1", "zero-cell-0", "zero-cell-2"])
+    def test_bound_is_tight_with_zero_cells(self, j):
+        # the certificate's repair must not drop every atom on a table with
+        # zero cells, which would leave only the copy bound min(H(X), H(Y))
+        r = wyner_solve(j, restarts=2, seed=0)
+        px, py = marginals(j)
+        cap = min(entropy(px).value, entropy(py).value)
+        assert mutual_information(j).value - 1e-12 <= float(r.value)
+        assert float(r.value) <= cap - 0.1
+        assert float(r.markov_residual) <= 1e-12
 
     def test_feasibility_of_accepted_result(self, dsbs01):
         r = wyner_solve(dsbs01, card_w=2, restarts=6, seed=1)
@@ -206,7 +243,7 @@ class TestWynerSolve:
 
     def test_kernel_shape_and_rows(self, dsbs01):
         r = wyner_solve(dsbs01, card_w=3, restarts=2, seed=0)
-        assert r.kernel.k.shape == (4, 3)
+        assert r.kernel.k.shape == (4, 3 + 2)
         np.testing.assert_allclose(r.kernel.k.sum(axis=1), 1.0, atol=1e-9)
 
     def test_value_between_mi_and_min_entropy(self):
@@ -242,9 +279,9 @@ class TestWynerSolve:
             red.nx * red.ny)
         q = lift_conditional(r.kernel, cells).k
         pxyw = raw.p.ravel()[:, None] * q
-        i_w_xy = mutual_information(JointDistribution(pxyw)).value
+        i_w_xy = mutual_information(validate_and_trim(pxyw)).value
         i_xy_w = conditional_mutual_information(
-            pxyw.reshape(raw.nx, raw.ny, r.card_w)).value
+            pxyw.reshape(raw.nx, raw.ny, r.kernel.k.shape[1])).value
         assert i_w_xy == pytest.approx(r.value.value, abs=1e-9)
         assert i_xy_w == pytest.approx(r.markov_residual.value, abs=1e-9)
 
@@ -252,6 +289,18 @@ class TestWynerSolve:
         j = random_joint(2, 3, seed=0)
         with pytest.raises(DimensionError, match="--wyner-card"):
             wyner_solve(j, card_w=2**22 // 6 + 1, restarts=0)
+
+    def test_size_limit_counts_certificate_columns(self, monkeypatch):
+        # 256x256 cells by 64 symbols is exactly 2**22 entries, but the
+        # certified kernel has 64 + 256 columns
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver started above the size limit")
+
+        for name in ("_start_kernel", "_wyner_stage", "_wyner_certify"):
+            monkeypatch.setattr(infosep.common_info, name, refuse)
+        j = random_joint(256, 256, seed=0)
+        with pytest.raises(DimensionError, match="320 auxiliary symbols"):
+            wyner_solve(j, card_w=64, restarts=1)
 
     def test_no_start_raises_before_solving(self, dsbs01):
         # card_w 1 is below both alphabet sizes: no copy start, no restarts
@@ -263,10 +312,34 @@ class TestWynerSolve:
         with pytest.raises(ValueError, match="restarts"):
             wyner_solve(dsbs01, restarts=-1)
 
-    @pytest.mark.parametrize("tol", [-1e-6, float("nan"), float("inf")])
-    def test_bad_residual_tol_rejected(self, dsbs01, tol):
-        with pytest.raises(ValueError, match="residual_tol"):
-            wyner_solve(dsbs01, residual_tol=tol)
+
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), seed=st.integers(0, 10**6),
+       zeros=st.lists(st.integers(0, 15), max_size=3),
+       card=st.integers(1, 18), restarts=st.integers(0, 2),
+       max_iters=st.sampled_from([5, 60, 400]))
+def test_certificate_is_an_exact_feasible_bound(nx, ny, seed, zeros, card,
+                                                restarts, max_iters):
+    p = random_joint(nx, ny, seed=seed).p.copy()
+    p.ravel()[[z for z in zeros if z < p.size]] = 0.0
+    assume(p.sum() > 0.0)
+    j = validate_and_trim(p)
+    assume(restarts > 0 or card >= min(j.nx, j.ny))
+    r = wyner_solve(j, card_w=card, restarts=restarts, max_iters=max_iters,
+                    seed=seed)
+    width = r.kernel.k.shape[1]
+    assert r.card_w == card
+    assert width == max(card + min(j.nx, j.ny), j.nx, j.ny)
+    pxyw = j.p.reshape(-1, 1) * r.kernel.k
+    np.testing.assert_allclose(pxyw.sum(axis=1), j.p.ravel(), rtol=0, atol=1e-12)
+    i_xy_w = conditional_mutual_information(
+        pxyw.reshape(j.nx, j.ny, width)).value
+    assert i_xy_w <= 1e-12
+    assert r.markov_residual.value <= 1e-12
+    i_w_xy = mutual_information(validate_and_trim(pxyw)).value
+    assert r.value.value == pytest.approx(i_w_xy, abs=1e-12)
+    px, py = marginals(j)
+    assert mutual_information(j).value - 1e-12 <= r.value.value
+    assert r.value.value <= min(entropy(px).value, entropy(py).value) + 1e-12
 
 
 @pytest.fixture
@@ -345,10 +418,11 @@ class TestWynerBatch:
             np.testing.assert_allclose(out[i], alone[0], rtol=0.0, atol=1e-12)
 
     def test_memory_stays_within_chunk(self):
-        # 16x16 cells by 4096 symbols is 2**20 entries per start, so a chunk
-        # holds 4 starts.  restarts=0 runs the 2 copy starts in one stack,
-        # restarts=10 runs 12 starts in chunks of 4: about twice the peak,
-        # where a single stack of all 12 would need about six times it.
+        # 16x16 cells by 4096 + 16 certified symbols is just over 2**20
+        # entries per start, so a chunk holds 3 starts.  restarts=0 runs the
+        # 2 copy starts in one stack, restarts=10 runs 12 starts in chunks of
+        # 3: about 1.5 times the peak, where a single stack of all 12 would
+        # need about six times it.
         j = random_joint(16, 16, seed=0)
 
         def peak(restarts):

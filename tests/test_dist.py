@@ -199,6 +199,24 @@ class TestDeterministicMap:
         with pytest.raises(InvalidMap):
             DeterministicMap(np.array([0, 5]), image_size=2)
 
+    @pytest.mark.parametrize("entries", [
+        [True, False], [0, True], np.array([True, False]), [0, np.True_]])
+    def test_boolean_entries_rejected(self, entries):
+        with pytest.raises(InvalidMap, match="booleans"):
+            DeterministicMap(entries)
+
+    @pytest.mark.parametrize("entries", [
+        [0, float("inf")], [0, float("-inf")], [0, float("nan")], [0, 1e30],
+        np.array([0.0, 2.0**63])])
+    def test_unrepresentable_floats_rejected_before_cast(self, entries):
+        # the cast to int64 would warn on these (an error under pytest here)
+        with pytest.raises(InvalidMap, match="finite integers"):
+            DeterministicMap(entries)
+
+    def test_integral_floats_accepted(self):
+        m = DeterministicMap([1.0, 0.0, 1.0])
+        assert m.assignment.tolist() == [1, 0, 1] and m.image_size == 2
+
     def test_refines(self):
         fine = DeterministicMap(np.array([0, 1, 2, 3]))
         coarse = DeterministicMap(np.array([0, 0, 1, 1]))
@@ -241,6 +259,21 @@ class TestLogSumExp:
         # a stack of matrices is reduced row by row, like one matrix
         stacked = logsumexp(a[:12].reshape(3, 4, 3))
         np.testing.assert_array_equal(stacked, got[:12].reshape(3, 4, 1))
+
+    def test_finite_maxima_path_is_bit_identical(self):
+        # A stack whose rows all have a finite maximum takes the fast path;
+        # the same rows next to an all -inf row take the fix-up path.
+        rows = np.random.default_rng(1).normal(scale=30.0, size=(2, 3, 5))
+        rows[0, 1, [0, 3]] = -np.inf
+        rows[1, 2, :4] = -np.inf
+        fast = logsumexp(rows)
+        with_dead = np.concatenate([rows, np.full((1, 3, 5), -np.inf)])
+        slow = logsumexp(with_dead)
+        np.testing.assert_array_equal(fast, slow[:2])
+        assert np.all(slow[2] == -np.inf)
+        np.testing.assert_allclose(
+            fast, scipy_logsumexp(rows, axis=-1, keepdims=True),
+            rtol=1e-14, atol=0.0)
 
 
 class TestRelEntr:
