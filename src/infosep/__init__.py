@@ -64,14 +64,11 @@ from .ib import (
     theta_of_R,
 )
 from .harness import (
-    RefinementSpec,
     SeparabilityReport,
     SimulationResult,
-    SolverConfig,
     dsbs,
     random_joint,
     random_refinement,
-    refine_embedding,
     simulate_and_estimate,
     verify_separability,
 )

@@ -16,9 +16,9 @@ headerless CSV matrices.  Reports are JSON with sorted keys and numbers
 rounded to 12 significant digits, so identical input, configuration and
 seed reproduce a report byte for byte except for the timestamp field.
 
-Exit codes: 0 success, 2 unreadable or unparseable input, a bad flag value
-or a solver size above the limit, 3 output write failure, 4 verification
-failed.
+Exit codes: 0 success, 2 unreadable or unparseable input, a bad flag value,
+a solver size above the limit or a table a solver cannot take, 3 output
+write failure, 4 verification failed.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from .dist import (
 )
 from .errors import InfosepError, InsufficientStatistic
 from .finfo import BUILTIN_GENERATORS, f_information
-from .harness import (
-    IB_BETAS,
-    SolverConfig,
-    random_refinement,
-    refine_embedding,
-    verify_separability,
-)
+from .harness import IB_BETAS, random_refinement, verify_separability
 from .ib import ib_curve, ib_fixed_point
 from .modal import minimal_sufficient_maps, modal_decompose, reduce_joint
 
@@ -96,7 +90,7 @@ def _load_distribution(path: str):
             x_labels = doc.get("x_labels")
             y_labels = doc.get("y_labels")
         joint = validate_and_trim(matrix, x_labels=x_labels, y_labels=y_labels)
-    except (ValueError, TypeError, UnicodeDecodeError, InfosepError) as exc:
+    except (ValueError, TypeError, OverflowError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse input {path!r}: {exc}")
     return joint, digest
 
@@ -274,19 +268,18 @@ def _cmd_verify(args) -> int:
     if args.auto_refine is not None:
         nx, ny = args.auto_refine
         try:
-            spec = random_refinement(joint, nx, ny, seed=seed)
+            target, s, t = random_refinement(joint, nx, ny, seed=seed)
         except InfosepError as exc:
             _fail(EXIT_PARSE, f"cannot auto-refine: {exc}")
-        target, s, t = refine_embedding(spec)
     elif args.maps is not None:
         target = joint
         s, t = _load_maps(args.maps, joint)
     else:
         target = joint
         s, t = minimal_sufficient_maps(joint)
-    cfg = SolverConfig(seed=seed, restarts=args.restarts, unit=args.unit,
-                       wyner_card=args.wyner_card)
-    report = verify_separability(target, s, t, config=cfg, strict=args.strict)
+    report = verify_separability(target, s, t, strict=args.strict, seed=seed,
+                                 restarts=args.restarts, unit=args.unit,
+                                 wyner_card=args.wyner_card)
     doc = _base_doc(args, args.input, digest, target, seed)
     doc["config"] = {"restarts": args.restarts,
                      "auto_refine": list(args.auto_refine) if args.auto_refine else None,

@@ -56,8 +56,13 @@ UNIT_TOL = 1e-8
 FEATURE_GROUP_TOL = 1e-8
 #: penalty weight schedule for the Wyner solver
 PENALTY_SCHEDULE = (1.0, 10.0, 100.0)
+#: accepted descent steps allowed per penalty stage of one Wyner start
+MAX_ITERS = 1000
 #: kernel entries are floored at this to keep logarithms finite
 KERNEL_FLOOR = 1e-16
+#: smallest positive cell the Wyner solver takes (about 2.2e-292): below
+#: it, a cell times the kernel floor leaves the normal float range
+MIN_WYNER_CELL = np.finfo(float).tiny / KERNEL_FLOOR
 #: kernel entries below this are cut to zero before the Wyner certificate
 SUPPORT_CUT = 1e-10
 #: EM steps that polish the latent-class model of the Wyner certificate
@@ -159,7 +164,8 @@ class WynerResult:
     I(X;Y|W), zero up to rounding.  ``card_w`` is the auxiliary alphabet of
     the descent; the kernel has ``card_w + min(nx, ny)`` columns, at least
     ``max(nx, ny)`` (see `wyner_solve`).  ``converged`` is False when a
-    descent stage of the winning start stopped at ``max_iters``.
+    descent stage of the winning start stopped at ``MAX_ITERS`` accepted
+    steps; ``value`` is a valid bound either way.
     """
 
     value: InfoValue
@@ -176,10 +182,12 @@ def _wyner_eval(q, pxy, h_xy):
     ``q`` holds kernels P(w | x, y) shaped ``(..., nx, ny, card)``, ``pxy``
     is P(x, y) shaped ``(nx, ny, 1)`` and ``h_xy`` is the sum of
     ``P(x, y) log P(x, y)`` over the support.  The kernel is floored at
-    ``KERNEL_FLOOR``, so every log here is finite and a cell off the support
-    adds nothing to either sum.  Returns (I(W;XY), I(X;Y|W), logs), the two
-    values shaped like the leading axes of ``q``; ``logs`` holds log q and
-    the logs of P(w), P(x, w) and P(y, w), for `_wyner_grad`.
+    ``KERNEL_FLOOR`` and every positive cell is at least ``MIN_WYNER_CELL``
+    (`wyner_solve` checks it), so every product here is a normal float,
+    every log is finite and a cell off the support adds nothing to either
+    sum.  Returns (I(W;XY), I(X;Y|W), logs), the two values shaped like the
+    leading axes of ``q``; ``logs`` holds log q and the logs of P(w),
+    P(x, w) and P(y, w), for `_wyner_grad`.
     """
     pj = pxy * q
     pxw = pj.sum(axis=-2)
@@ -379,12 +387,12 @@ def _wyner_certify(q, p, width):
 
 
 def wyner_solve(j: JointDistribution, card_w: int | None = None,
-                restarts: int = 10, max_iters: int = 1000, seed: int = 0,
+                restarts: int = 10, seed: int = 0,
                 unit: str = "bits") -> WynerResult:
     """Certified upper bound on the Wyner common information.
 
     Runs the penalty-schedule descent (weights ``PENALTY_SCHEDULE``, each
-    stage at most ``max_iters`` accepted steps) on kernels with ``card_w``
+    stage at most ``MAX_ITERS`` accepted steps) on kernels with ``card_w``
     auxiliary symbols, from two deterministic starts (W a copy of X and W a
     copy of Y, when ``card_w`` is large enough) plus ``restarts`` seeded
     Dirichlet(1) random kernels.  Each final kernel is then repaired into
@@ -399,7 +407,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     leftover, one symbol per symbol of the smaller alphabet; it has at least
     ``max(nx, ny)`` columns, so that the copies of X and of Y fit.
     ``converged`` is False when a stage of the winning start stopped at
-    ``max_iters`` accepted steps; the value is a valid bound either way.
+    ``MAX_ITERS`` accepted steps; the value is a valid bound either way.
 
     The starts run in lockstep as one batch (see `_wyner_stage`), in chunks
     whose certified kernels hold at most ``MAX_SOLVER_ENTRIES`` entries;
@@ -409,7 +417,8 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     `DimensionError` before allocating when there is no start (``card_w``
     below both ``nx`` and ``ny`` and no restarts) or when the returned
     kernel would hold more than ``MAX_SOLVER_ENTRIES`` entries
-    (``nx * ny`` times its column count).
+    (``nx * ny`` times its column count).  Raises `NumericalError` when a
+    positive cell of ``j`` is below ``MIN_WYNER_CELL`` (about 2.2e-292).
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny
@@ -433,6 +442,11 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
             f"alphabet sizes ({nx}x{ny}), so W cannot copy X or Y, and "
             f"restarts is 0; raise card_w (--wyner-card) or restarts "
             f"(--restarts)")
+    low = j.p[j.p > 0.0].min()
+    if low < MIN_WYNER_CELL:
+        raise NumericalError(
+            f"Wyner solver needs every positive cell at least "
+            f"{MIN_WYNER_CELL:.3g}; the input has one of {low:.3g}")
     pxy = j.p[:, :, None]
     support = (pxy > 0.0).astype(float)
     h_xy = float(rel_entr(pxy, 1.0).sum())
@@ -461,9 +475,9 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # leave the degenerate point; the stage re-converges anyway.
                 q = _jitter(q, run_rngs)
             tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q, steps = _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
+            q, steps = _wyner_stage(q, pxy, h_xy, support, lam, MAX_ITERS,
                                     step_tol=tol)
-            capped |= steps >= max_iters
+            capped |= steps >= MAX_ITERS
         kernels, values = _wyner_certify(q, j.p, width)
         for k, i in enumerate(idxs):
             key = (min(float(values[k]), cap[0]), i)

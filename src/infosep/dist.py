@@ -152,12 +152,18 @@ def validate_and_trim(raw, x_labels=None, y_labels=None) -> JointDistribution:
     Accepts any nonempty matrix with nonnegative finite entries and positive
     total (probabilities, counts, unnormalized weights).  Rows and columns
     whose sum is exactly zero are removed; label sequences, when given, are
-    trimmed alongside.
+    trimmed alongside.  A matrix whose total overflows a float is divided
+    by its largest entry first; an entry too small to keep against that
+    one becomes zero.
     """
     arr = _as_float_array(raw, "weight matrix")
     if arr.ndim != 2:
         raise InvalidDistribution("weight matrix must be two-dimensional")
-    total = arr.sum()
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if total == math.inf:
+        arr = arr / arr.max()
+        total = arr.sum()
     if total <= 0.0:
         raise InvalidDistribution("weight matrix has zero total mass")
     arr = arr / total

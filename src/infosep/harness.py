@@ -7,9 +7,11 @@ a smaller alphabet: every base symbol is split into weighted copies,
 
 so the block maps (s, t) are sufficient by construction and every
 dependence measure must survive the reduction back to the base.
+`random_refinement` draws such a table together with its maps.
 `verify_separability` runs a battery of such comparisons, or a chosen
-subset of it, and reports per-measure gaps; `simulate_and_estimate` does
-the same on sampled data, where reduction happens by aggregating counts.
+subset of it, on any table and maps, and reports per-measure gaps;
+`simulate_and_estimate` does the same on sampled data, where reduction
+happens by aggregating counts.
 
 Sampling uses the counter-based Philox generator, so identical seeds give
 identical draws across platforms.
@@ -56,95 +58,33 @@ def random_joint(nx: int, ny: int, alpha: float = 1.0,
     return validate_and_trim(cells)
 
 
-@dataclass(frozen=True)
-class RefinementSpec:
-    """Recipe for splitting base symbols into weighted copies.
-
-    ``split_x[s]`` holds the weight vector of the copies of base symbol s
-    (nonnegative, summing to 1); likewise ``split_y``.  ``seed`` records
-    the generator seed when the recipe was drawn randomly.
-    """
-
-    base: JointDistribution
-    split_x: tuple
-    split_y: tuple
-    seed: int | None = None
-
-    def __post_init__(self):
-        for attr, n in (("split_x", self.base.nx), ("split_y", self.base.ny)):
-            splits = tuple(tuple(float(w) for w in ws) for ws in getattr(self, attr))
-            if len(splits) != n:
-                raise DimensionError(
-                    f"{attr} has {len(splits)} blocks for {n} base symbols")
-            for ws in splits:
-                if len(ws) == 0 or any(w < 0.0 for w in ws):
-                    raise InvalidDistribution(
-                        f"{attr} blocks need nonnegative, nonempty weights")
-                if abs(sum(ws) - 1.0) > 1e-9:
-                    raise InvalidDistribution(
-                        f"{attr} block weights must sum to 1")
-            object.__setattr__(self, attr, splits)
-
-
 def random_refinement(base: JointDistribution, nx: int, ny: int,
-                      seed: int = 0) -> RefinementSpec:
+                      seed: int = 0) -> tuple[JointDistribution,
+                                              DeterministicMap,
+                                              DeterministicMap]:
     """Draw a random refinement of ``base`` to alphabet sizes (nx, ny).
 
     Each base symbol gets at least one copy, the extra copies go to
     uniformly drawn symbols, and each block's weights are Dirichlet(1).
+    Returns ``(joint, s, t)``: the refined table, unlabelled, and its block
+    maps, which are sufficient by construction.
     """
     if nx < base.nx or ny < base.ny:
         raise DimensionError(
             "refined alphabets cannot be smaller than the base alphabets")
     rng = np.random.default_rng(seed)
 
-    def blocks(n_base, n_total):
+    def split(n_base, n_total):
         sizes = np.ones(n_base, dtype=np.int64)
         for _ in range(n_total - n_base):
             sizes[rng.integers(n_base)] += 1
-        return tuple(tuple(rng.dirichlet(np.ones(sz))) for sz in sizes)
+        weights = np.concatenate([rng.dirichlet(np.ones(sz)) for sz in sizes])
+        return np.repeat(np.arange(n_base), sizes), weights
 
-    return RefinementSpec(base=base, split_x=blocks(base.nx, nx),
-                          split_y=blocks(base.ny, ny), seed=seed)
-
-
-def refine_embedding(spec: RefinementSpec):
-    """Materialize a refinement: returns (joint, s, t) with sufficient maps.
-
-    Copies with weight exactly 0 would be dead symbols; they are dropped
-    and the maps reindexed, so the returned joint is always valid.
-    """
-    base = spec.base
-
-    def expand(splits, labels):
-        block = np.concatenate([np.full(len(ws), i, dtype=np.int64)
-                                for i, ws in enumerate(splits)])
-        weights = np.concatenate([np.asarray(ws, dtype=float) for ws in splits])
-        keep = weights > 0.0
-        new_labels = None
-        if labels is not None:
-            new_labels = []
-            for i, ws in enumerate(splits):
-                new_labels.extend(f"{labels[i]}#{c}" for c in range(len(ws)))
-            new_labels = tuple(lab for lab, k in zip(new_labels, keep) if k)
-        return block[keep], weights[keep], new_labels
-
-    sx, wx, labx = expand(spec.split_x, base.x_labels)
-    ty, wy, laby = expand(spec.split_y, base.y_labels)
-    p = base.p[np.ix_(sx, ty)] * np.outer(wx, wy)
-    j = JointDistribution(p, x_labels=labx, y_labels=laby)
+    sx, wx = split(base.nx, nx)
+    ty, wy = split(base.ny, ny)
+    j = JointDistribution(base.p[np.ix_(sx, ty)] * np.outer(wx, wy))
     return j, DeterministicMap(sx, base.nx), DeterministicMap(ty, base.ny)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver settings shared by the verification battery."""
-
-    seed: int = 0
-    restarts: int = 10
-    unit: str = "bits"
-    wyner_card: int | None = None
-    wyner_max_iters: int = 1000
 
 
 #: gap allowed between raw and reduced values of an exact measure
@@ -214,24 +154,26 @@ def _gap(a: float, b: float) -> float:
 
 def verify_separability(j: JointDistribution, s: DeterministicMap,
                         t: DeterministicMap, measures=None,
-                        config: SolverConfig | None = None,
-                        strict: bool = False) -> SeparabilityReport:
+                        strict: bool = False, *, seed: int = 0,
+                        restarts: int = 10, unit: str = "bits",
+                        wyner_card: int | None = None) -> SeparabilityReport:
     """Compare dependence measures of ``j`` and its reduction through (s, t).
 
     With ``strict`` the maps must pass the sufficiency test, otherwise the
     report records the gap and proceeds (measure rows will then expose the
     mismatch).  A row passes when its gap is at most ``EXACT_TOL`` for an
     exact measure (``mi``, ``f:*``, ``gk``) or ``SOLVER_TOL`` for a
-    solver-based one (``wyner``, ``ib``, ``theta``).
+    solver-based one (``wyner``, ``ib``, ``theta``).  Each side is solved
+    separately: ``seed`` and ``restarts`` go to `wyner_solve` and
+    `ib_curve`, ``wyner_card`` to `wyner_solve` as ``card_w``, and every
+    value is in ``unit``.
     """
-    cfg = config or SolverConfig()
     measures = tuple(measures) if measures is not None else DEFAULT_MEASURES
     verdict = check_sufficiency(j, s, t)
     if strict and not verdict.sufficient:
         raise InsufficientStatistic(
             f"maps are not sufficient: ratio gap {verdict.max_ratio_gap:.3e}")
     red = verdict.reduced
-    unit = cfg.unit
 
     rows = []
 
@@ -245,8 +187,7 @@ def verify_separability(j: JointDistribution, s: DeterministicMap,
     curves = None
     if need_curves:
         curves = tuple(
-            ib_curve(side, IB_BETAS, restarts=cfg.restarts, seed=cfg.seed,
-                     unit=unit)
+            ib_curve(side, IB_BETAS, restarts=restarts, seed=seed, unit=unit)
             for side in (j, red))
 
     for m in measures:
@@ -262,9 +203,8 @@ def verify_separability(j: JointDistribution, s: DeterministicMap,
                 gacs_korner(red, unit=unit).value.value, EXACT_TOL)
         elif m == "wyner":
             raw, reduced = (
-                wyner_solve(side, card_w=cfg.wyner_card, restarts=cfg.restarts,
-                            max_iters=cfg.wyner_max_iters, seed=cfg.seed,
-                            unit=unit).value.value
+                wyner_solve(side, card_w=wyner_card, restarts=restarts,
+                            seed=seed, unit=unit).value.value
                 for side in (j, red))
             add("wyner", raw, reduced, SOLVER_TOL)
         elif m == "ib":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import infosep.dist
-from infosep.harness import dsbs, random_refinement, refine_embedding
+from infosep.harness import dsbs, random_refinement
 
 settings.register_profile(
     "ci",
@@ -39,8 +39,7 @@ def dsbs01():
 @pytest.fixture(scope="session")
 def dsbs01_refined(dsbs01):
     """A fixed 4x4 refinement of DSBS(0.1) together with its reduction maps."""
-    spec = random_refinement(dsbs01, 4, 4, seed=3)
-    return refine_embedding(spec)
+    return random_refinement(dsbs01, 4, 4, seed=3)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from infosep.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from infosep.common_info import gacs_korner, wyner_solve
 from infosep.dist import DeterministicMap, mutual_information
 from infosep.finfo import BUILTIN_GENERATORS, f_information
-from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
+from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_fixed_point
 from infosep.modal import modal_decompose
 
@@ -118,6 +118,14 @@ class TestMeasures:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--wyner-card" in err and "--restarts" in err
+
+    def test_total_that_overflows(self, capsys, tmp_path):
+        path = _write(tmp_path, "big.json", [[1e308, 1e308], [1.0, 1.0]])
+        code, doc = run_json(capsys, ["measures", path, "--restarts", "0"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert doc["input"]["nx"] == 2 and doc["input"]["reduced_nx"] == 1
+        assert doc["measures"]["mi"] == 0.0
 
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
@@ -229,7 +237,7 @@ class TestReduceFirst:
     @pytest.mark.parametrize("base", [dsbs(0.1), random_joint(3, 3, seed=0)],
                              ids=["dsbs0.1", "random3x3"])
     def test_refinement_reports_base_measures(self, capsys, tmp_path, base):
-        refined, _, _ = refine_embedding(random_refinement(base, 8, 7, seed=4))
+        refined, _, _ = random_refinement(base, 8, 7, seed=4)
         _, doc_base = run_json(capsys, [
             "measures", _write(tmp_path, "base.json", base.p), *self.ARGS])
         code, doc = run_json(capsys, [
@@ -244,7 +252,7 @@ class TestReduceFirst:
         _assert_close(doc["measures"], doc_base["measures"], 1e-9)
 
     def test_wyner_card_applies_to_reduced_alphabet(self, capsys, tmp_path):
-        refined, _, _ = refine_embedding(random_refinement(dsbs(0.1), 4, 4, seed=3))
+        refined, _, _ = random_refinement(dsbs(0.1), 4, 4, seed=3)
         _, doc = run_json(capsys, [
             "measures", _write(tmp_path, "refined.json", refined.p),
             "--restarts", "0", "--wyner-card", "3", "--beta", "2"])
@@ -395,16 +403,21 @@ class TestVerify:
     @pytest.mark.parametrize("size", [("50000", "50000"), ("2049", "2048")])
     def test_auto_refine_size_limit(self, capsys, monkeypatch, dsbs_file,
                                     size):
-        # the dense refined table would be allocated by these two
+        # the dense refined table would be allocated by this one
         def refuse(*args, **kwargs):
             raise AssertionError("refinement built above the size limit")
 
         monkeypatch.setattr(infosep.cli, "random_refinement", refuse)
-        monkeypatch.setattr(infosep.cli, "refine_embedding", refuse)
         assert main(["verify", dsbs_file, "--auto-refine", *size]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--auto-refine" in err
         assert err.count("\n") == 1
+
+    def test_cells_below_the_wyner_range(self, capsys, tmp_path):
+        path = _write(tmp_path, "tiny.json", [[1.0, 1.0], [1e-310, 1e-310]])
+        assert main(["verify", path, "--restarts", "0"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Wyner solver") and err.count("\n") == 1
 
     def test_bad_maps_file(self, capsys, dsbs_file, tmp_path):
         maps = tmp_path / "maps.json"

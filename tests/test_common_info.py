@@ -1,6 +1,7 @@
 """Gacs-Korner and Wyner common information."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import infosep.common_info
 from infosep.common_info import (
+    MIN_WYNER_CELL,
     _renormalize,
     _start_kernel,
     _wyner_eval,
@@ -28,8 +30,8 @@ from infosep.dist import (
     mutual_information,
     validate_and_trim,
 )
-from infosep.errors import DimensionError
-from infosep.harness import dsbs, random_joint, random_refinement, refine_embedding
+from infosep.errors import DimensionError, NumericalError
+from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.modal import minimal_sufficient_maps, reduce_joint
 from oracles import NoFeasiblePoint, wyner_grid_oracle
 
@@ -183,7 +185,7 @@ class TestComponentOracle:
 
     def test_invariance_under_refinement(self):
         base = block_joint([0.5, 0.5], [(1, 1), (1, 1)], seed=0)
-        refined, s, t = refine_embedding(random_refinement(base, 4, 5, seed=13))
+        refined, s, t = random_refinement(base, 4, 5, seed=13)
         ra = gacs_korner(refined)
         rb = gacs_korner(reduce_joint(refined, s, t))
         assert ra.k == rb.k
@@ -209,13 +211,14 @@ class TestWynerSolve:
         assert float(r.value) == pytest.approx(WYNER_DSBS01, abs=1e-6)
         assert float(r.markov_residual) <= 1e-6
 
-    def test_iteration_cap_reports_unconverged(self, dsbs01):
+    def test_iteration_cap_reports_unconverged(self, dsbs01, monkeypatch):
         # five steps per stage leave the descent far from a stationary point;
         # the value is still a certified bound, just a loose one
-        capped = wyner_solve(dsbs01, card_w=2, restarts=2, max_iters=5, seed=0)
+        full = wyner_solve(dsbs01, card_w=2, restarts=2, seed=0)
+        monkeypatch.setattr(infosep.common_info, "MAX_ITERS", 5)
+        capped = wyner_solve(dsbs01, card_w=2, restarts=2, seed=0)
         assert not capped.converged
         assert WYNER_DSBS01 - 1e-12 <= float(capped.value) <= 1.0
-        full = wyner_solve(dsbs01, card_w=2, restarts=2, seed=0)
         assert full.converged
         assert float(full.value) < float(capped.value)
 
@@ -246,10 +249,11 @@ class TestWynerSolve:
         assert r.kernel.k.shape == (4, 3 + 2)
         np.testing.assert_allclose(r.kernel.k.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_value_between_mi_and_min_entropy(self):
+    def test_value_between_mi_and_min_entropy(self, monkeypatch):
+        monkeypatch.setattr(infosep.common_info, "MAX_ITERS", 300)
         for seed in (0, 1, 2):
             j = random_joint(3, 3, seed=seed)
-            r = wyner_solve(j, card_w=3, restarts=2, max_iters=300, seed=0)
+            r = wyner_solve(j, card_w=3, restarts=2, seed=0)
             px, py = marginals(j)
             mi = mutual_information(j).value
             cap = min(entropy(px).value, entropy(py).value)
@@ -264,13 +268,13 @@ class TestWynerSolve:
 
     def test_invariance_under_refinement(self):
         base = random_joint(2, 2, alpha=2.0, seed=5)
-        refined, s, t = refine_embedding(random_refinement(base, 4, 4, seed=5))
+        refined, s, t = random_refinement(base, 4, 4, seed=5)
         ra = wyner_solve(refined, card_w=4, restarts=6, seed=0)
         rb = wyner_solve(base, restarts=6, seed=0)
         assert abs(float(ra.value) - float(rb.value)) <= 5e-3
 
     def test_reduced_kernel_lifts_to_raw_cells(self):
-        raw, _, _ = refine_embedding(random_refinement(dsbs(0.1), 8, 7, seed=4))
+        raw, _, _ = random_refinement(dsbs(0.1), 8, 7, seed=4)
         s, t = minimal_sufficient_maps(raw)
         red = reduce_joint(raw, s, t, strict=True)
         r = wyner_solve(red, restarts=2, seed=0)
@@ -312,6 +316,15 @@ class TestWynerSolve:
         with pytest.raises(ValueError, match="restarts"):
             wyner_solve(dsbs01, restarts=-1)
 
+    def test_cells_below_the_normal_range_rejected(self):
+        # P(x, y) times the kernel floor would leave the normal float range
+        j = validate_and_trim([[1.0, 1.0], [1e-300, 1e-300]])
+        with pytest.raises(NumericalError, match="positive cell"):
+            wyner_solve(j, restarts=0)
+        ok = validate_and_trim([[1.0, 1.0], [2 * MIN_WYNER_CELL] * 2])
+        assert ok.p.min() >= MIN_WYNER_CELL
+        assert float(wyner_solve(ok, restarts=0).value) == 0.0
+
 
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), seed=st.integers(0, 10**6),
        zeros=st.lists(st.integers(0, 15), max_size=3),
@@ -324,8 +337,10 @@ def test_certificate_is_an_exact_feasible_bound(nx, ny, seed, zeros, card,
     assume(p.sum() > 0.0)
     j = validate_and_trim(p)
     assume(restarts > 0 or card >= min(j.nx, j.ny))
-    r = wyner_solve(j, card_w=card, restarts=restarts, max_iters=max_iters,
-                    seed=seed)
+    # function-scoped fixtures do not mix with @given, so the cap is
+    # patched here
+    with mock.patch.object(infosep.common_info, "MAX_ITERS", max_iters):
+        r = wyner_solve(j, card_w=card, restarts=restarts, seed=seed)
     width = r.kernel.k.shape[1]
     assert r.card_w == card
     assert width == max(card + min(j.nx, j.ny), j.nx, j.ny)
@@ -417,18 +432,19 @@ class TestWynerBatch:
             assert alone_steps[0] == steps[i]
             np.testing.assert_allclose(out[i], alone[0], rtol=0.0, atol=1e-12)
 
-    def test_memory_stays_within_chunk(self):
+    def test_memory_stays_within_chunk(self, monkeypatch):
         # 16x16 cells by 4096 + 16 certified symbols is just over 2**20
         # entries per start, so a chunk holds 3 starts.  restarts=0 runs the
         # 2 copy starts in one stack, restarts=10 runs 12 starts in chunks of
         # 3: about 1.5 times the peak, where a single stack of all 12 would
         # need about six times it.
         j = random_joint(16, 16, seed=0)
+        monkeypatch.setattr(infosep.common_info, "MAX_ITERS", 1)
 
         def peak(restarts):
             tracemalloc.start()
             try:
-                wyner_solve(j, card_w=4096, restarts=restarts, max_iters=1)
+                wyner_solve(j, card_w=4096, restarts=restarts)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

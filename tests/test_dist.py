@@ -140,6 +140,23 @@ class TestValidateAndTrim:
         with pytest.raises(InvalidDistribution):
             validate_and_trim(np.array([[1.0, -0.5], [0.25, 0.25]]))
 
+    def test_total_that_overflows(self):
+        # the plain sum is inf; dividing by the largest entry first keeps
+        # the table, with no overflow warning (an error in this suite)
+        j = validate_and_trim([[1e308, 1e308], [1.0, 1.0]])
+        assert j.p.shape == (2, 2)
+        np.testing.assert_array_equal(j.p[0], [0.5, 0.5])
+        assert 0.0 < j.p[1, 0] == j.p[1, 1] < 1e-307
+        np.testing.assert_array_equal(
+            validate_and_trim(np.full((2, 2), 1e308)).p, np.full((2, 2), 0.25))
+
+    def test_finite_total_normalized_by_plain_sum(self):
+        # the division by the total, then the constructor's renormalization
+        raw = np.random.default_rng(3).random((4, 5)) * 1e300
+        once = raw / raw.sum()
+        np.testing.assert_array_equal(validate_and_trim(raw).p,
+                                      once / once.sum())
+
 
 class TestMarginalsAndKernels:
     def test_dsbs_marginals(self):

@@ -174,9 +174,9 @@ class TestInvarianceCheck:
         assert all(g <= 1e-10 for g in gaps.values())
 
     def test_random_base_refined_tv(self):
-        from infosep.harness import random_joint, random_refinement, refine_embedding
+        from infosep.harness import random_joint, random_refinement
         base = random_joint(3, 3, seed=8)
-        j, s, t = refine_embedding(random_refinement(base, 9, 9, seed=9))
+        j, s, t = random_refinement(base, 9, 9, seed=9)
         rep, gaps = f_invariance(j, s, t, generators=("tv",))
         assert rep.overall
         assert gaps["tv"] <= 1e-10

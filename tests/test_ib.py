@@ -7,7 +7,7 @@ from scipy.optimize import brentq, minimize_scalar
 import infosep.ib
 from infosep.dist import JointDistribution, mutual_information, validate_and_trim
 from infosep.errors import DimensionError
-from infosep.harness import random_joint, random_refinement, refine_embedding
+from infosep.harness import random_joint, random_refinement
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
 
@@ -157,7 +157,7 @@ class TestFixedPoint:
 
     def test_lagrangian_invariance_under_refinement(self):
         base = random_joint(2, 2, alpha=2.0, seed=31)
-        refined, s, t = refine_embedding(random_refinement(base, 4, 4, seed=31))
+        refined, s, t = random_refinement(base, 4, 4, seed=31)
         red = reduce_joint(refined, s, t)
         for beta in (1.5, 2.0, 5.0):
             a = ib_fixed_point(refined, beta, restarts=10, seed=0)

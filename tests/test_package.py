@@ -3,19 +3,20 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import types
 
 import infosep
 from infosep.dist import ConditionalKernel, DeterministicMap
-from infosep.harness import SolverConfig
 from infosep.modal import SufficiencyVerdict
 
 #: names deleted from the package; the Wyner grid oracle lives in tests/oracles.py
 REMOVED = ("CdkMatrix", "cdk_matrix", "reconstruct_joint",
            "maximal_correlation", "InconsistentDecomposition",
-           "wyner_grid_oracle", "NoFeasiblePoint", "_ib_information")
+           "wyner_grid_oracle", "NoFeasiblePoint", "_ib_information",
+           "RefinementSpec", "refine_embedding", "SolverConfig")
 
 
 def submodules():
@@ -41,16 +42,12 @@ def test_removed_names_are_gone():
     assert not hasattr(ConditionalKernel, "cols")
     assert not {"tol", "cmi_s", "cmi_t"} & {
         f.name for f in dataclasses.fields(SufficiencyVerdict)}
+    assert "max_iters" not in inspect.signature(infosep.wyner_solve).parameters
 
 
 def test_sufficiency_verdict_fields():
     assert [f.name for f in dataclasses.fields(SufficiencyVerdict)] == [
         "sufficient", "max_ratio_gap", "reduced"]
-
-
-def test_solver_config_fields():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "seed", "restarts", "unit", "wyner_card", "wyner_max_iters"]
 
 
 def unused_imports(path: pathlib.Path) -> list:
