@@ -5,6 +5,12 @@ The reduction code (minimal sufficient maps) and the common-part code
 on the symbols: rows within a tolerance of each other, or x and y symbols
 joined by a support cell.  `label_components` labels those components and
 `group_rows` builds the closeness graph for it.
+
+`group_rows` does not compare every pair of rows.  Two rows are joined when
+they differ by at most ``tol`` in every column, so a set of rows whose
+per-column spread is at most ``tol`` is one clique, and a set sorted by one
+column splits at every gap above ``tol`` with no edge crossing the gap.
+Only a set that neither test resolves is compared pair by pair.
 """
 
 from __future__ import annotations
@@ -34,31 +40,72 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     Merging is closed under chaining (a~b and b~c put a, c in one class even
     when a and c differ by more than `tol`).  Class labels are assigned in
     order of first occurrence, so the labeling is deterministic.  Zero-width
-    rows are all identical and form one class.  Memory stays O(n * width):
-    whenever more than ``64 * n`` edges are stored they are replaced by a
-    spanning forest of their components.
+    rows are all identical and form one class.  Rows must be finite.
+
+    The graph is built by sort-and-split on a work list of row sets, which
+    starts with all rows:
+
+    - a set whose largest per-column spread is at most `tol` is a clique,
+      and star edges from its first row join it;
+    - otherwise the set is sorted by its column of largest spread and split
+      at every gap above `tol` between consecutive sorted values; the
+      parts go back on the list.  The split is exact: the rounded
+      difference of two floats grows with their distance, so rows on
+      either side of such a gap differ by more than `tol` in that column
+      and share no edge;
+    - a set with no such gap is compared pair by pair, each row with all
+      later rows of the set.
+
+    Every edge added is an edge of the all-pairs closeness graph and every
+    set is connected as in that graph, so the labels equal those of
+    comparing all pairs.  Typical inputs (groups of coinciding rows, far
+    apart) take a few sorts.  The worst case, splits that peel off few rows
+    or one set that will not split, is O(n^2 * (width + log n)), no worse
+    than comparing all pairs.  Memory stays O(n * width): whenever more
+    than ``64 * n`` edges are stored they are replaced by a spanning forest
+    of their components.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("group_rows expects a 2-d array")
+    if not np.isfinite(rows).all():
+        raise ValueError("group_rows expects finite rows")
     n = rows.shape[0]
     heads = [np.empty(0, dtype=np.int64)]
     tails = [np.empty(0, dtype=np.int64)]
     stored = 0
-    for r in range(n - 1):
-        # one row against all later rows keeps memory at O(n * width)
-        gap = np.max(np.abs(rows[r + 1:] - rows[r]), axis=1, initial=0.0)
-        near = r + 1 + np.flatnonzero(gap <= tol)
-        heads.append(np.full(near.size, r))
-        tails.append(near)
-        stored += near.size
-        if stored > 64 * n:
-            # many coinciding rows: keep one edge per vertex to its
-            # component's first vertex, which leaves the components as-is
-            labels = label_components(n, np.concatenate(heads),
-                                      np.concatenate(tails))
-            _, first = np.unique(labels, return_index=True)
-            tails = [np.flatnonzero(first[labels] != np.arange(n))]
-            heads = [first[labels[tails[0]]]]
-            stored = tails[0].size
+    work = [np.arange(n)]
+    while work:
+        idx = work.pop()
+        if idx.size < 2:
+            continue
+        sub = rows[idx]
+        spread = np.ptp(sub, axis=0)
+        if np.max(spread, initial=0.0) <= tol:
+            heads.append(np.full(idx.size - 1, idx[0]))
+            tails.append(idx[1:])
+            continue
+        col = int(np.argmax(spread))
+        order = np.argsort(sub[:, col])
+        cuts = np.flatnonzero(np.diff(sub[order, col]) > tol) + 1
+        if cuts.size:
+            work.extend(np.split(idx[order], cuts))
+            continue
+        for r in range(idx.size - 1):
+            # one row against all later rows of the set keeps memory at
+            # O(n * width)
+            gap = np.max(np.abs(sub[r + 1:] - sub[r]), axis=1, initial=0.0)
+            near = idx[r + 1 + np.flatnonzero(gap <= tol)]
+            heads.append(np.full(near.size, idx[r]))
+            tails.append(near)
+            stored += near.size
+            if stored > 64 * n:
+                # many coinciding rows: keep one edge per vertex to its
+                # component's first vertex, which leaves the components as-is
+                labels = label_components(n, np.concatenate(heads),
+                                          np.concatenate(tails))
+                _, first = np.unique(labels, return_index=True)
+                tails = [np.flatnonzero(first[labels] != np.arange(n))]
+                heads = [first[labels[tails[0]]]]
+                stored = tails[0].size
     return label_components(n, np.concatenate(heads), np.concatenate(tails))

@@ -95,41 +95,53 @@ def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,
 def gacs_korner(j: JointDistribution, unit: str = "bits") -> GkResult:
     """Deterministic common part via the dependence spectrum.
 
-    ``k`` counts the singular values within ``UNIT_TOL`` of 1.  For k = 0
-    the common part is trivial (constant maps, value 0).  Otherwise the x
-    and y feature rows of the unit modes are grouped jointly, which aligns
-    the two maps on one alphabet; the value is the entropy of the common
-    symbol distribution.
+    ``k`` counts the unit modes: at first the singular values within
+    ``UNIT_TOL`` of 1.  The x and y feature rows of the unit modes are
+    grouped jointly, which aligns the two maps on one alphabet; the value is
+    the entropy of the common symbol distribution.  At k = 0 the common part
+    is trivial (constant maps, value 0).
+
+    A singular value can lie within ``UNIT_TOL`` of 1 without being exactly
+    1 (a near-deterministic table whose support is connected).  Its
+    features are then not exactly equal across a support cell, so the
+    grouping either leaves a class on one side only or splits a support
+    cell; the smallest candidate is then dropped and the rest regrouped.
+    Maps that agree on every support cell have at most as many classes as
+    the support graph has components, and exactly as many only when they
+    are the Gacs-Korner maps.  So a result reached by dropping modes is
+    checked against that count, and `NumericalError` is raised when it
+    falls short (the SVD mixed an exact unit mode into a near one).
     """
     md = modal_decompose(j)
-    k = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
-    if k == 0:
-        return GkResult(
-            value=InfoValue(0.0, unit),
-            k=0,
-            common_map_x=DeterministicMap.constant(j.nx),
-            common_map_y=DeterministicMap.constant(j.ny),
-            component_count=1,
-        )
-    stacked = np.vstack([md.F[:, :k], md.G[:, :k]])
-    labels = group_rows(stacked, FEATURE_GROUP_TOL)
-    labels_x = labels[:j.nx]
-    labels_y = labels[j.nx:]
-    n_classes = int(labels.max()) + 1
-    if np.unique(labels_x).size != n_classes or np.unique(labels_y).size != n_classes:
-        raise NumericalError(
-            "unit-mode features do not induce a shared common alphabet")
     xs, ys = np.nonzero(j.p > 0.0)
-    if np.any(labels_x[xs] != labels_y[ys]):
-        raise NumericalError(
-            "common maps disagree on a support cell; unit modes are not exact")
-    return GkResult(
-        value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
-        k=k,
-        common_map_x=DeterministicMap(labels_x, n_classes),
-        common_map_y=DeterministicMap(labels_y, n_classes),
-        component_count=n_classes,
-    )
+    candidates = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
+    # k = 0 always passes: constant maps agree on every cell
+    for k in range(candidates, -1, -1):
+        if k == 0:
+            labels = np.zeros(j.nx + j.ny, dtype=np.int64)
+        else:
+            labels = group_rows(np.vstack([md.F[:, :k], md.G[:, :k]]),
+                                FEATURE_GROUP_TOL)
+        labels_x = labels[:j.nx]
+        labels_y = labels[j.nx:]
+        n_classes = int(labels.max()) + 1
+        shared = (np.unique(labels_x).size == n_classes
+                  and np.unique(labels_y).size == n_classes)
+        if not shared or np.any(labels_x[xs] != labels_y[ys]):
+            continue
+        if k < candidates:
+            components = int(label_components(j.nx + j.ny, xs, j.nx + ys).max()) + 1
+            if n_classes < components:
+                raise NumericalError(
+                    f"unit modes are not exact: {n_classes} common classes "
+                    f"against {components} support components")
+        return GkResult(
+            value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
+            k=k,
+            common_map_x=DeterministicMap(labels_x, n_classes),
+            common_map_y=DeterministicMap(labels_y, n_classes),
+            component_count=n_classes,
+        )
 
 
 def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:

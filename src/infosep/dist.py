@@ -307,7 +307,8 @@ def entropy(dist, unit: str = "bits") -> InfoValue:
     if abs(total - 1.0) > MASS_TOL:
         raise InvalidDistribution(
             f"distribution mass {total!r} not within {MASS_TOL:g} of 1")
-    return info_from_nats(-float(rel_entr(q / total, 1.0).sum()), unit)
+    # 0.0 - x, not -x: a point mass has entropy +0.0, never -0.0
+    return info_from_nats(0.0 - float(rel_entr(q / total, 1.0).sum()), unit)
 
 
 def mutual_information(j: JointDistribution, unit: str = "bits") -> InfoValue:

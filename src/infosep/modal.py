@@ -84,8 +84,8 @@ def modal_decompose(j: JointDistribution) -> ModalDecomposition:
     truncated at ``RANK_TOL``; the rank never exceeds min(nx, ny) - 1.
     """
     px, py = marginals(j)
-    weight = np.sqrt(np.outer(px, py))
-    m = (j.p - np.outer(px, py)) / weight
+    # one marginal at a time: the product px * py can underflow to zero
+    m = (j.p - np.outer(px, py)) / np.sqrt(px)[:, None] / np.sqrt(py)
     try:
         u, sig, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -149,8 +149,9 @@ def check_sufficiency(j: JointDistribution, s: DeterministicMap,
     red = pushforward(j, s, t)
     px, py = marginals(j)
     ps, pt = marginals(red)
-    ratio = j.p / np.outer(px, py)
-    ratio_red = (red.p / np.outer(ps, pt))[np.ix_(s.assignment, t.assignment)]
+    # one marginal at a time: the product px * py can underflow to zero
+    ratio = j.p / px[:, None] / py
+    ratio_red = (red.p / ps[:, None] / pt)[np.ix_(s.assignment, t.assignment)]
     gap = float(np.max(np.abs(ratio - ratio_red)))
     return SufficiencyVerdict(sufficient=gap <= SUFFICIENCY_TOL,
                               max_ratio_gap=gap, reduced=red)

@@ -104,3 +104,30 @@ def cube_cmi(j: JointDistribution, mapping: DeterministicMap, axis: int) -> floa
     cube = np.zeros((j.nx, j.ny, mapping.image_size))
     cube[xs, ys, mapping.assignment[xs if axis == 0 else ys]] = j.p
     return conditional_mutual_information(cube).value
+
+
+def group_rows_all_pairs(rows, tol: float) -> np.ndarray:
+    """All-pairs reference for `infosep._grouping.group_rows`.
+
+    Compares each row with every later row in sup norm, with the same float
+    arithmetic, and merges close pairs by union-find; classes are numbered
+    in order of first occurrence.  O(n^2 * width) time and no memory guard,
+    so keep inputs small.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for r in range(n - 1):
+        gap = np.max(np.abs(rows[r + 1:] - rows[r]), axis=1, initial=0.0)
+        for k in r + 1 + np.flatnonzero(gap <= tol):
+            parent[find(int(k))] = find(r)
+    first = {}
+    return np.array([first.setdefault(find(a), len(first)) for a in range(n)],
+                    dtype=np.int64)

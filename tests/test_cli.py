@@ -127,6 +127,13 @@ class TestMeasures:
         assert doc["input"]["nx"] == 2 and doc["input"]["reduced_nx"] == 1
         assert doc["measures"]["mi"] == 0.0
 
+    def test_point_mass_reports_positive_zero(self, capsys, tmp_path):
+        path = _write(tmp_path, "point.json", [[0.5, 0.5]])
+        assert main(["measures", path, "--restarts", "0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert json.loads(out)["measures"]["h_x"] == 0.0
+
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
         assert main(["measures", dsbs_file, "--restarts", "1",

@@ -1,5 +1,6 @@
 """Gacs-Korner and Wyner common information."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -142,6 +143,9 @@ class TestComponentOracle:
         assert r.component_count == 1
         assert r.value.value == 0.0
 
+    def test_connected_support_gives_positive_zero(self, dsbs01):
+        assert math.copysign(1.0, gk_via_components(dsbs01).value.value) == 1.0
+
     def test_two_block(self):
         r = gk_via_components(two_block_uniform())
         assert r.component_count == 2
@@ -182,6 +186,43 @@ class TestComponentOracle:
             for i in range(j.nx):
                 for k in range(j.nx):
                     assert (pa[i] == pa[k]) == (pb[i] == pb[k])
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert (a.value.value, a.k, a.component_count) == \
+            (b.value.value, b.k, b.component_count)
+        assert a.common_map_x.assignment.tolist() == b.common_map_x.assignment.tolist()
+        assert a.common_map_y.assignment.tolist() == b.common_map_y.assignment.tolist()
+
+    def test_near_unit_mode_on_connected_support(self):
+        # sigma = 1 - 2e-9 lies within UNIT_TOL of 1, yet the support is
+        # connected, so the common part is trivial
+        j = validate_and_trim([[1.0, 1e-9], [1e-9, 1.0]])
+        r = gacs_korner(j)
+        assert (r.value.value, r.k, r.component_count) == (0.0, 0, 1)
+        self._assert_same(r, gk_via_components(j))
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-11])
+    def test_two_blocks_with_off_block_leakage(self, eps):
+        p = block_joint([0.4, 0.6], [(2, 2), (2, 3)], seed=0).p.copy()
+        p[p == 0.0] = eps
+        j = validate_and_trim(p)
+        self._assert_same(gacs_korner(j), gk_via_components(j))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13])
+    def test_mixed_exact_and_near_unit_modes_never_read_low(self, eps, seed):
+        # blocks 0 and 1 leak into each other through two cells of mass eps:
+        # an exact unit mode and a near one within 1e-8 of it, whose
+        # features the SVD mixes; the answer is right or an error, not 0
+        p = block_joint([0.3, 0.3, 0.4], [(2, 2)] * 3, seed=seed).p.copy()
+        p[0, 2] = p[3, 1] = eps
+        j = validate_and_trim(p)
+        try:
+            r = gacs_korner(j)
+        except NumericalError:
+            return
+        self._assert_same(r, gk_via_components(j))
 
     def test_invariance_under_refinement(self):
         base = block_joint([0.5, 0.5], [(1, 1), (1, 1)], seed=0)

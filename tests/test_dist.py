@@ -1,5 +1,6 @@
 """Exact probability arithmetic: distributions, kernels, information values."""
 
+import math
 import warnings
 
 import numpy as np
@@ -247,6 +248,10 @@ class TestEntropy:
 
     def test_degenerate(self):
         assert entropy(np.array([1.0])).value == 0.0
+
+    @pytest.mark.parametrize("point", [[1.0], [0.0, 1.0, 0.0]])
+    def test_point_mass_is_positive_zero(self, point):
+        assert math.copysign(1.0, entropy(np.array(point)).value) == 1.0
 
     def test_binary_09(self):
         # H(0.9, 0.1) in bits; fifth decimal 0.46900

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from infosep.common_info import gacs_korner, gk_via_components
 from infosep.dist import (
     DeterministicMap,
     JointDistribution,
     marginals,
     mutual_information,
+    validate_and_trim,
 )
 from infosep.errors import DimensionError, InsufficientStatistic
 from infosep.harness import random_joint
@@ -323,3 +325,28 @@ class TestReduceJoint:
         red = reduce_joint(j, s, t)
         assert mutual_information(red).value == pytest.approx(
             mutual_information(j).value, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMarginalProductUnderflow:
+    """Tables whose marginal products px * py underflow to zero."""
+
+    def test_minimal_maps_are_sufficient(self):
+        j = validate_and_trim([[1e-200, 0.0], [0.0, 1.0]])
+        s, t = minimal_sufficient_maps(j)
+        v = check_sufficiency(j, s, t)
+        assert v.sufficient
+        assert v.max_ratio_gap == 0.0
+        a, b = gacs_korner(j), gk_via_components(j)
+        assert (a.value.value, a.component_count) == (b.value.value, b.component_count)
+
+    def test_sigma_matches_the_2x2_closed_form(self):
+        j = validate_and_trim([[1e-200, 1e-200], [0.0, 1.0]])
+        (p00, p01), (p10, p11) = j.p
+        px, py = marginals(j)
+        # (p00 p11 - p01 p10) / sqrt(px0 px1 py0 py1), one root at a time
+        closed = (p00 * p11 - p01 * p10) / np.prod(np.sqrt(px)) / np.prod(np.sqrt(py))
+        assert closed == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+        md = modal_decompose(j)
+        assert md.rank == 1
+        assert md.sigmas[0] == pytest.approx(closed, rel=1e-12)
