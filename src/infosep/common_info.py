@@ -3,10 +3,11 @@
 Two notions are computed here.
 
 Deterministic common part (Gacs-Korner): the largest random variable that
-both coordinates determine almost surely.  Spectrally, each dependence mode
-with singular value exactly 1 carries a pair of features with f(X) = g(Y)
-almost surely; grouping symbols by the unit-mode feature vectors yields the
-common alphabet and the value is its entropy.  A support-graph construction
+both coordinates determine almost surely.  Spectrally, each exact unit mode
+carries a pair of features with f(X) = g(Y) almost surely; they span the
+null space of the support-cell differences f(x) - g(y) of the modes near 1,
+and grouping symbols by their features there yields the common alphabet,
+whose entropy is the value.  A support-graph construction
 (`gk_via_components`) computes the same object from connected components of
 the bipartite support.  It builds its graph without the spectrum, so it
 cross-checks the spectral route, though both label components with the one
@@ -50,9 +51,10 @@ from .dist import (
 from .errors import DimensionError, NumericalError
 from .modal import modal_decompose
 
-#: singular values within this of 1 count as unit (perfectly aligned) modes
+#: singular values within this of 1 are candidate unit modes
 UNIT_TOL = 1e-8
-#: feature rows within this in sup norm belong to one common symbol
+#: feature rows within this in sup norm belong to one common symbol, and
+#: support-cell feature differences with singular values up to it vanish
 FEATURE_GROUP_TOL = 1e-8
 #: penalty weight schedule for the Wyner solver
 PENALTY_SCHEDULE = (1.0, 10.0, 100.0)
@@ -95,53 +97,48 @@ def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,
 def gacs_korner(j: JointDistribution, unit: str = "bits") -> GkResult:
     """Deterministic common part via the dependence spectrum.
 
-    ``k`` counts the unit modes: at first the singular values within
-    ``UNIT_TOL`` of 1.  The x and y feature rows of the unit modes are
-    grouped jointly, which aligns the two maps on one alphabet; the value is
-    the entropy of the common symbol distribution.  At k = 0 the common part
-    is trivial (constant maps, value 0).
+    A combination of the c candidate modes (within ``UNIT_TOL`` of 1) is an
+    exact unit mode, f(X) = g(Y) almost surely, exactly when its x and y
+    features agree on every support cell.  ``k`` is the dimension of that
+    null space of ``F[x, :c] - G[y, :c]`` over the support cells, from one
+    thin SVD with singular values up to ``FEATURE_GROUP_TOL`` taken as 0.
+    A near unit mode differs by order one across the low-mass cell joining
+    its sides, so it stays outside even where the SVD mixed it into an
+    exact one.  The x and y feature rows in the null space are grouped
+    jointly into one alphabet; the value is the entropy of its symbol.
 
-    A singular value can lie within ``UNIT_TOL`` of 1 without being exactly
-    1 (a near-deterministic table whose support is connected).  Its
-    features are then not exactly equal across a support cell, so the
-    grouping either leaves a class on one side only or splits a support
-    cell; the smallest candidate is then dropped and the rest regrouped.
-    Maps that agree on every support cell have at most as many classes as
-    the support graph has components, and exactly as many only when they
-    are the Gacs-Korner maps.  So a result reached by dropping modes is
-    checked against that count, and `NumericalError` is raised when it
-    falls short (the SVD mixed an exact unit mode into a near one).
+    `NumericalError` is raised when the maps disagree on a support cell, or
+    when k < c and they have fewer classes than the support graph has
+    components (maps that agree on the support never have more): a unit
+    mode whose feature on a tiny-mass symbol is lost to rounding leaves the
+    null space too, and would read low.
     """
     md = modal_decompose(j)
     xs, ys = np.nonzero(j.p > 0.0)
-    candidates = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
-    # k = 0 always passes: constant maps agree on every cell
-    for k in range(candidates, -1, -1):
-        if k == 0:
-            labels = np.zeros(j.nx + j.ny, dtype=np.int64)
-        else:
-            labels = group_rows(np.vstack([md.F[:, :k], md.G[:, :k]]),
-                                FEATURE_GROUP_TOL)
-        labels_x = labels[:j.nx]
-        labels_y = labels[j.nx:]
-        n_classes = int(labels.max()) + 1
-        shared = (np.unique(labels_x).size == n_classes
-                  and np.unique(labels_y).size == n_classes)
-        if not shared or np.any(labels_x[xs] != labels_y[ys]):
-            continue
-        if k < candidates:
-            components = int(label_components(j.nx + j.ny, xs, j.nx + ys).max()) + 1
-            if n_classes < components:
-                raise NumericalError(
-                    f"unit modes are not exact: {n_classes} common classes "
-                    f"against {components} support components")
-        return GkResult(
-            value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
-            k=k,
-            common_map_x=DeterministicMap(labels_x, n_classes),
-            common_map_y=DeterministicMap(labels_y, n_classes),
-            component_count=n_classes,
-        )
+    c = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
+    _, sv, vt = np.linalg.svd(md.F[xs, :c] - md.G[ys, :c],
+                              full_matrices=False)
+    null = vt[int(np.sum(sv > FEATURE_GROUP_TOL)):].T
+    k = null.shape[1]
+    labels = group_rows(np.vstack([md.F[:, :c], md.G[:, :c]]) @ null,
+                        FEATURE_GROUP_TOL)
+    labels_x, labels_y = labels[:j.nx], labels[j.nx:]
+    n_classes = int(labels.max()) + 1
+    if np.any(labels_x[xs] != labels_y[ys]):
+        raise NumericalError("common maps disagree on a support cell")
+    if k < c:
+        components = int(label_components(j.nx + j.ny, xs, j.nx + ys).max()) + 1
+        if n_classes < components:
+            raise NumericalError(
+                f"unit modes are not exact: {n_classes} common classes "
+                f"against {components} support components")
+    return GkResult(
+        value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
+        k=k,
+        common_map_x=DeterministicMap(labels_x, n_classes),
+        common_map_y=DeterministicMap(labels_y, n_classes),
+        component_count=n_classes,
+    )
 
 
 def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:

@@ -322,8 +322,9 @@ def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
 
     The array is validated like a joint distribution (nonnegative entries,
     total mass within ``MASS_TOL`` of 1) but zero-mass slices are fine:
-    they simply contribute nothing.  Computed by the chain rule
-    ``I(A;B|C) = I(A;BC) - I(A;C)``.
+    they simply contribute nothing.  Computed as the average under P(b, c)
+    of ``KL(P(a|b,c) || P(a|c))``: no product of marginals is formed, so
+    none can underflow to zero and turn the result into ``inf - inf``.
     """
     q = _as_float_array(joint3, "trivariate joint")
     if q.ndim != 3:
@@ -333,11 +334,12 @@ def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
         raise InvalidDistribution(
             f"trivariate mass {total!r} not within {MASS_TOL:g} of 1")
     q = q / total
-    pa = q.sum(axis=(1, 2))
-    pac = q.sum(axis=1)
-    i_a_bc = rel_entr(q, pa[:, None, None] * q.sum(axis=0)).sum()
-    i_a_c = rel_entr(pac, np.outer(pa, pac.sum(axis=0))).sum()
-    return info_from_nats(float(i_a_bc - i_a_c), unit)
+    pac, pbc = q.sum(axis=1), q.sum(axis=0)
+    a_bc = np.divide(q, pbc, out=np.zeros_like(q), where=q > 0.0)
+    a_c = np.divide(pac, pac.sum(axis=0), out=np.ones_like(pac),
+                    where=pac > 0.0)
+    return info_from_nats(
+        float((pbc * rel_entr(a_bc, a_c[:, None, :])).sum()), unit)
 
 
 def _pushforward_labels(labels, mapping: DeterministicMap):

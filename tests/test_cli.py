@@ -127,6 +127,28 @@ class TestMeasures:
         assert doc["input"]["nx"] == 2 and doc["input"]["reduced_nx"] == 1
         assert doc["measures"]["mi"] == 0.0
 
+    def test_wyner_residual_with_underflowing_products(self, capsys, tmp_path):
+        # the products of marginals in I(X;Y|W) underflow on the first row;
+        # the report is valid JSON, with no NaN
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"p": [[1e-200, 0.0], [0.5, 0.5]]}))
+        assert main(["measures", str(path), "--restarts", "0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        assert json.loads(out)["measures"]["wyner"]["residual"] == 0.0
+
+    def test_wyner_residual_beside_overflowing_f_information(
+            self, capsys, tmp_path):
+        # the f-informations of this table still divide by an underflowed
+        # P(x) P(y) and come out NaN; the Wyner residual does not
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"p": [[1e-200, 1e-200], [0.0, 1.0]]}))
+        with pytest.warns(RuntimeWarning):
+            code = main(["measures", str(path), "--restarts", "0"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["measures"]["wyner"]["residual"] == 0.0
+
     def test_point_mass_reports_positive_zero(self, capsys, tmp_path):
         path = _write(tmp_path, "point.json", [[0.5, 0.5]])
         assert main(["measures", path, "--restarts", "0"]) == EXIT_OK

@@ -4,7 +4,9 @@ Each example writes an input table, and a maps file for ``verify --maps``,
 into a fresh directory and runs one subcommand in-process.  Whatever the
 flags and files, `main` must return 0, 2, 3 or 4 and raise nothing; under
 the suite's ``error::RuntimeWarning`` filter a numpy warning counts as a
-raised exception.  Single-valued flags are written as ``--flag=value`` so
+raised exception.  No report it writes may hold ``NaN``, which is not
+valid JSON; ``Infinity`` is allowed, since reverse KL is +inf on a zero
+cell.  Single-valued flags are written as ``--flag=value`` so
 that argparse reads negative values as values.
 """
 
@@ -127,6 +129,8 @@ def command_lines(draw):
 OVERFLOW = ("t.json", b'{"p": [[1e308, 1e308], [1.0, 1.0]]}')
 SUBNORMAL = ("t.json", b'{"p": [[1, 1], [1e-310, 1e-310]]}')
 DSBS = ("t.csv", b"0.45,0.05\n0.05,0.45")
+#: the products of marginals in the Wyner residual underflow on this table
+TINY_ROW = ("t.json", b'{"p": [[1e-200, 0], [0.5, 0.5]]}')
 
 
 @settings(max_examples=400)
@@ -135,6 +139,7 @@ DSBS = ("t.csv", b"0.45,0.05\n0.05,0.45")
        argv=command_lines(), maps=MAPS)
 @example(table=OVERFLOW, argv=["measures", "{input}"], maps=0)
 @example(table=SUBNORMAL, argv=["verify", "{input}", "--restarts=0"], maps=0)
+@example(table=TINY_ROW, argv=["measures", "{input}", "--restarts=0"], maps=0)
 @example(table=DSBS, argv=["verify", "{input}", "--restarts=0",
                            "--auto-refine", "3", "3"], maps=0)
 @example(table=DSBS, argv=["verify", "{input}", "--restarts=0",
@@ -147,11 +152,15 @@ def test_main_ends_with_a_documented_exit_code(table, argv, maps):
         maps_path = pathlib.Path(tmp, "maps.json")
         maps_path.write_text(json.dumps(maps))
         argv = [a.format(input=path, maps=maps_path, tmp=tmp) for a in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        reports = [out.getvalue()]
+        out_file = pathlib.Path(tmp, "out")
+        if out_file.is_file():
+            reports.append(out_file.read_text())
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_IO, EXIT_VERIFY), argv
+    assert not any("NaN" in report for report in reports), argv
     # a failure says why in one line; a failed verification may say nothing
     text = err.getvalue()
     if code == EXIT_OK or (code == EXIT_VERIFY and not text):

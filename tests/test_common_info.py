@@ -214,9 +214,22 @@ class TestComponentOracle:
     def test_mixed_exact_and_near_unit_modes_never_read_low(self, eps, seed):
         # blocks 0 and 1 leak into each other through two cells of mass eps:
         # an exact unit mode and a near one within 1e-8 of it, whose
-        # features the SVD mixes; the answer is right or an error, not 0
+        # features the SVD mixes; the near mode differs across the leaking
+        # cells, so it falls outside the null space of the support-cell
+        # differences and the exact mode is still found
         p = block_joint([0.3, 0.3, 0.4], [(2, 2)] * 3, seed=seed).p.copy()
         p[0, 2] = p[3, 1] = eps
+        j = validate_and_trim(p)
+        self._assert_same(gacs_korner(j), gk_via_components(j))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [1e-60, 1e-100])
+    def test_tiny_mass_symbol_never_reads_low(self, scale, seed):
+        # x1 keeps a mass near scale, so the unit mode's feature on it is
+        # lost to rounding and the mode falls outside the null space; the
+        # component count then turns a low answer into an error
+        p = block_joint([0.5, 0.5], [(2, 2), (2, 2)], seed=seed).p.copy()
+        p[1] *= scale
         j = validate_and_trim(p)
         try:
             r = gacs_korner(j)

@@ -400,6 +400,14 @@ class TestConditionalMutualInformation:
             p.transpose(0, 1, 2), unit="nats").value
         assert i_ac == pytest.approx(i_ab - i_ab_c, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [[[1e-200, 0.0], [0.5, 0.5]],
+                                   [[1e-200, 1e-200], [0.0, 1.0]]])
+    def test_products_of_marginals_that_underflow(self, p):
+        # C a copy of A: on the first row the products P(a) P(b, c) underflow
+        # to 0, so a chain-rule sum I(A;BC) - I(A;C) would read inf - inf
+        cube = np.asarray(p)[:, :, None] * np.eye(2)[:, None, :]
+        assert conditional_mutual_information(cube).value == 0.0
+
     def test_markov_merging(self):
         """U-X-Y, U-(X,Y)-Z, X-Z-Y together imply the chain U-X-Z-Y."""
         rng = np.random.default_rng(11)
