@@ -47,7 +47,7 @@ from .dist import (
 from .errors import InfosepError, InsufficientStatistic
 from .finfo import BUILTIN_GENERATORS, f_information
 from .harness import IB_BETAS, random_refinement, verify_separability
-from .ib import ib_curve, ib_fixed_point
+from .ib import _ib_solve, ib_curve
 from .modal import minimal_sufficient_maps, modal_decompose, reduce_joint
 
 EXIT_OK = 0
@@ -201,16 +201,12 @@ def _cmd_measures(args) -> int:
     gk = gacs_korner(red, unit=unit)
     wyner = wyner_solve(red, card_w=args.wyner_card, restarts=args.restarts,
                         seed=seed, unit=unit)
-    ib_block = {}
-    for beta in betas:
-        sol = ib_fixed_point(red, beta, restarts=args.restarts, seed=seed,
-                             unit=unit)
-        ib_block[f"{beta:g}"] = {
-            "lagrangian": sol.lagrangian.value,
-            "i_ux": sol.i_ux.value,
-            "i_uy": sol.i_uy.value,
-            "converged": sol.converged,
-        }
+    sols = _ib_solve(red, betas, None, args.restarts, seed, unit)
+    ib_block = {f"{sol.beta:g}": {"lagrangian": sol.lagrangian.value,
+                                  "i_ux": sol.i_ux.value,
+                                  "i_uy": sol.i_uy.value,
+                                  "converged": sol.converged}
+                for sol in sols}
     doc = _base_doc(args, args.input, digest, joint, seed)
     doc["input"].update(reduced_nx=red.nx, reduced_ny=red.ny)
     doc["config"] = {"restarts": args.restarts, "betas": list(betas),

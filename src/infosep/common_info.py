@@ -41,6 +41,7 @@ from .dist import (
     DeterministicMap,
     InfoValue,
     JointDistribution,
+    _multistart,
     conditional_mutual_information,
     entropy,
     info_from_nats,
@@ -418,9 +419,11 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     ``converged`` is False when a stage of the winning start stopped at
     ``MAX_ITERS`` accepted steps; the value is a valid bound either way.
 
-    The starts run in lockstep as one batch (see `_wyner_stage`), in chunks
-    whose certified kernels hold at most ``MAX_SOLVER_ENTRIES`` entries;
-    each start's result is the one it gives when run alone.
+    The starts run in lockstep as one batch (see `_wyner_stage`), in stacks
+    whose certified kernels hold at most ``MAX_SOLVER_ENTRIES`` entries,
+    under the multi-start policy the bottleneck solver shares
+    (`dist._multistart`); each start's result is the one it gives when run
+    alone.
 
     Raises `ValueError` for a negative ``restarts``.  Raises
     `DimensionError` before allocating when there is no start (``card_w``
@@ -464,10 +467,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     cap = min((entropy(px, "nats").value, "x"),
               (entropy(py, "nats").value, "y"))
 
-    chunk = max(1, MAX_SOLVER_ENTRIES // (nx * ny * width))
-    best = None
-    for lo in range(0, len(kinds), chunk):
-        idxs = range(lo, min(lo + chunk, len(kinds)))
+    def run(idxs):
         q = _renormalize(np.stack(
             [_start_kernel(kinds[i], nx, ny, card, rng) for i in idxs]))
         # Per-run generators for the stage-transition jitter below; keyed by
@@ -488,15 +488,13 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                                     step_tol=tol)
             capped |= steps >= MAX_ITERS
         kernels, values = _wyner_certify(q, j.p, width)
-        for k, i in enumerate(idxs):
-            key = (min(float(values[k]), cap[0]), i)
-            if best is None or key < best[0]:
-                kernel = (kernels[k].copy() if values[k] <= cap[0]
-                          else None)
-                best = (key, kernel, bool(capped[k]))
-    (value, _), kernel, capped = best
-    if kernel is None:
-        kernel = _start_kernel(cap[1], nx, ny, width, None)
+        for k, value in enumerate(values.tolist()):
+            kernel = (kernels[k].copy() if value <= cap[0]
+                      else _start_kernel(cap[1], nx, ny, width, None))
+            yield min(value, cap[0]), (kernel, bool(capped[k]))
+
+    ((value, (kernel, capped)),) = _multistart(
+        [0] * len(kinds), nx * ny * width, run).values()
     resid = conditional_mutual_information(pxy * kernel, unit)
     return WynerResult(
         value=info_from_nats(value, unit),

@@ -45,6 +45,26 @@ MAX_SOLVER_ENTRIES = 2**22
 _UNITS = ("bits", "nats")
 
 
+def _multistart(groups, entries, run):
+    """Best start of each group, with the starts run in bounded stacks.
+
+    ``groups[i]`` names the group of start ``i``, and ``entries`` is the
+    size of one start's work array.  The starts go to ``run`` in order, as
+    index ranges of at most ``MAX_SOLVER_ENTRIES // entries`` starts (at
+    least one); ``run(idxs)`` advances them as one stack and yields a
+    ``(key, result)`` pair per start.  Returns a dict from each group to the
+    pair of its first start with the smallest key.
+    """
+    size = max(1, MAX_SOLVER_ENTRIES // entries)
+    best = {}
+    for lo in range(0, len(groups), size):
+        for i, (key, result) in enumerate(
+                run(range(lo, min(lo + size, len(groups)))), lo):
+            if groups[i] not in best or key < best[groups[i]][0]:
+                best[groups[i]] = key, result
+    return best
+
+
 def _check_unit(unit):
     if unit not in _UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {_UNITS}")
@@ -312,9 +332,15 @@ def entropy(dist, unit: str = "bits") -> InfoValue:
 
 
 def mutual_information(j: JointDistribution, unit: str = "bits") -> InfoValue:
-    """Mutual information between the two coordinates of a joint pmf."""
+    """Mutual information between the two coordinates of a joint pmf.
+
+    Computed as the average under P(x) of ``KL(P(Y|x) || P(Y))``: no product
+    of marginals is formed, so none can underflow to zero and make the
+    value infinite.
+    """
     px, py = marginals(j)
-    return info_from_nats(float(rel_entr(j.p, np.outer(px, py)).sum()), unit)
+    kl = rel_entr(j.p / px[:, None], py).sum(axis=1)
+    return info_from_nats(float((px * kl).sum()), unit)
 
 
 def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:

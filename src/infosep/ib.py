@@ -16,6 +16,14 @@ recorded per-iteration trace makes that checkable.  For beta <= 1 the
 constant variable is already optimal and the solver returns it immediately
 with Lagrangian exactly 0.
 
+The runs are independent, so every (beta, start) run of one call, whether
+from `ib_fixed_point`, `ib_curve` or the CLI's ``measures``, advances in
+lockstep in one ``(runs, nx, card)`` stack, split by the multi-start
+policy the Wyner solver shares (`dist._multistart`) so that a stack holds
+at most ``MAX_SOLVER_ENTRIES`` work entries.  Each run keeps its own
+multiplier and stop rule, so it ends where it ends alone and each solution
+is the one its multiplier gives alone.
+
 `ib_curve` sweeps a multiplier grid and assembles an inner approximation of
 the relevance-compression frontier: achieved (I(U;X), I(U;Y)) points plus
 the exactly known anchors (0, 0), (H(S), I(X;Y)) and (H(X), I(X;Y)), where
@@ -37,6 +45,7 @@ from .dist import (
     ConditionalKernel,
     InfoValue,
     JointDistribution,
+    _multistart,
     conditional_kernel,
     entropy,
     info_from_nats,
@@ -74,56 +83,68 @@ class IbSolution:
     history: tuple
 
 
-def _ib_run(q0, px, pygx, py, beta):
-    """One self-consistent run; returns (q, converged, history).
+def _ib_run(q, px, pygx, py, beta):
+    """Self-consistent runs in lockstep; returns (q, converged, history, cycles).
 
-    ``history`` holds the (I(U;X), I(U;Y)) pair in nats of the initial
-    kernel and of the kernel after each refresh cycle, so the last pair
-    belongs to the returned ``q``.  Each cycle computes P(U) and P(U,Y)
-    once, records the pair from them, then updates the kernel.
+    ``q`` stacks the initial kernels ``(runs, nx, card)`` and ``beta`` holds
+    each run's multiplier.  Each refresh cycle computes P(U) and P(U,Y) of
+    every running kernel once, records the (I(U;X), I(U;Y)) pairs in nats
+    from them, then updates the kernels.  A run stops once it has recorded
+    the kernel its convergence test accepted, or after ``MAX_ITERS`` cycles,
+    so it ends where it ends alone.  ``history[c]`` holds every run's pair
+    after ``c`` cycles, shaped ``(runs, 2)``, a stopped run repeating its
+    last one; ``cycles[r]`` counts run r's cycles, so its trace is
+    ``history[:cycles[r] + 1, r]`` and its last pair belongs to ``q[r]``.
     """
     pxy = px[:, None] * pygx
-    q = q0
+    # ``q`` starts as ``out`` itself; each update makes it a new array, so
+    # writing a stopped run's row into ``out`` never changes a running one
+    q = out = np.array(q, dtype=float)
+    live = np.arange(len(q))
+    # a stopped run's entries are final: whether its last update converged,
+    # and its number of refresh cycles
+    conv, cycles = np.zeros(len(q), dtype=bool), np.zeros(len(q), dtype=int)
+    pairs = np.zeros((len(q), 2))
     history = []
-    converged = False
     for cycle in range(MAX_ITERS + 1):
         pu = px @ q
-        puy = q.T @ pxy
-        iux = (px[:, None] * rel_entr(q, pu[None, :])).sum()
-        iuy = rel_entr(puy, np.outer(pu, py)).sum()
-        history.append((float(iux), float(iuy)))
-        if converged or cycle == MAX_ITERS:
-            break
+        puy = q.swapaxes(1, 2) @ pxy
         # P(Y|U=u), left 0 for an unused u
-        pygu = np.divide(puy, pu[:, None], out=np.zeros_like(puy),
-                         where=pu[:, None] > 0.0)
+        pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy),
+                         where=pu[:, :, None] > 0.0)
+        pairs[live, 0] = (px[:, None] * rel_entr(q, pu[:, None, :])).sum(
+            axis=(1, 2))
+        # I(U;Y) as the average under P(u) of KL(P(Y|u) || P(Y)), so that no
+        # product P(u) P(y) can underflow to zero
+        pairs[live, 1] = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
+        history.append(pairs.copy())
+        stop = conv[live] | (cycle == MAX_ITERS)
+        if stop.any():
+            out[live[stop]], cycles[live[stop]] = q[stop], cycle
+            if stop.all():
+                break
+            live, q, pu, pygu, beta = (
+                live[~stop], q[~stop], pu[~stop], pygu[~stop], beta[~stop])
         # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
-        dist = rel_entr(pygx[:, None, :], pygu[None]).sum(axis=2)
+        dist = rel_entr(pygx[:, None, :], pygu[:, None]).sum(axis=3)
         with np.errstate(divide="ignore"):
-            lnq = np.log(pu)[None, :] - beta * dist
-        lnq = lnq - logsumexp(lnq)
-        qn = np.exp(lnq)
-        converged = float(np.max(np.abs(qn - q))) <= CONV_TOL
+            lnq = np.log(pu)[:, None, :] - beta[:, None, None] * dist
+        qn = np.exp(lnq - logsumexp(lnq))
+        conv[live] = np.abs(qn - q).max(axis=(1, 2)) <= CONV_TOL
         q = qn
-    return q, converged, history
+    return out, conv, np.array(history), cycles
 
 
-def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
-                   restarts: int = 10, seed: int = 0,
-                   unit: str = "bits") -> IbSolution:
-    """Minimize the bottleneck Lagrangian at one multiplier.
+def _ib_solve(j, betas, card_u, restarts, seed, unit):
+    """`ib_fixed_point` at each multiplier of ``betas``, as one batch.
 
-    Runs a deterministic identity-like start (U a copy of X, padded or
-    truncated to the auxiliary cardinality) plus ``restarts`` seeded
-    Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
-    broken by start index.  ``converged`` reflects the winning run: whether
-    it met ``CONV_TOL`` within ``MAX_ITERS`` refresh cycles.  For
-    beta <= 1 the constant variable is returned immediately (Lagrangian 0).
-    Raises `ValueError` for a ``beta`` that is not positive and finite or a
-    negative ``restarts``, and `DimensionError` when the iteration's
-    ``nx * card_u * ny`` array would exceed ``MAX_SOLVER_ENTRIES`` entries.
+    Every (beta, start) run with beta > 1 goes through `_ib_run` in stacks
+    of at most ``MAX_SOLVER_ENTRIES`` work entries (see
+    `dist._multistart`); each solution is the one `ib_fixed_point` gives
+    alone.  Returns a tuple of `IbSolution`, one per entry of ``betas``.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
+    betas = tuple(float(b) for b in betas)
+    if not all(math.isfinite(b) and b > 0.0 for b in betas):
         raise ValueError("beta must be positive and finite")
     if restarts < 0:
         raise ValueError("restarts must be non-negative")
@@ -136,45 +157,59 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
             f"bottleneck iteration over {nx} x {card} x {j.ny} entries "
             f"exceeds {MAX_SOLVER_ENTRIES}; lower card_u (--card-u) or "
             f"reduce the input")
-    if beta <= 1.0:
-        q = np.zeros((nx, card))
-        q[:, 0] = 1.0
-        zero = InfoValue(0.0, unit)
-        return IbSolution(beta=float(beta), card_u=card,
-                          kernel=ConditionalKernel(q), i_ux=zero, i_uy=zero,
-                          lagrangian=InfoValue(0.0, unit), restarts_used=0,
-                          converged=True, history=(0.0,))
-
-    beta = float(beta)
     px, py = marginals(j)
     pygx = conditional_kernel(j, "y|x").k
-    rng = np.random.default_rng(seed)
-    inits = []
-    q = np.zeros((nx, card))
-    q[np.arange(nx), np.minimum(np.arange(nx), card - 1)] = 1.0
-    inits.append(q)
-    for _ in range(int(restarts)):
-        inits.append(rng.dirichlet(np.ones(card), size=nx))
+    # U a copy of X (truncated to card symbols), then the Dirichlet draws
+    copy = np.arange(card) == np.minimum(np.arange(nx), card - 1)[:, None]
+    inits = [copy * 1.0, *np.random.default_rng(seed).dirichlet(
+        np.ones(card), size=(int(restarts), nx))]
+    groups = [g for g, beta in enumerate(betas) if beta > 1.0 for _ in inits]
 
-    runs = []
-    for idx, q0 in enumerate(inits):
-        qf, conv, pairs = _ib_run(np.array(q0, dtype=float), px, pygx, py,
-                                  beta)
-        hist = [iux - beta * iuy for iux, iuy in pairs]
-        runs.append((hist[-1], idx, qf, conv, hist, pairs[-1]))
-    lag, _, qf, conv, hist, (iux, iuy) = min(runs, key=lambda r: (r[0], r[1]))
+    def run(idxs):
+        beta = np.array([betas[groups[i]] for i in idxs])
+        stack = np.stack([inits[i % len(inits)] for i in idxs])
+        q, conv, history, cycles = _ib_run(stack, px, pygx, py, beta)
+        for r, b in enumerate(beta.tolist()):
+            pairs = history[:cycles[r] + 1, r].tolist()
+            hist = [iux - b * iuy for iux, iuy in pairs]
+            yield hist[-1], (q[r], bool(conv[r]), hist, pairs[-1])
+
+    best = _multistart(groups, nx * card * j.ny, run)
     factor = 1.0 if unit == "nats" else 1.0 / LN2
-    return IbSolution(
-        beta=beta,
-        card_u=card,
-        kernel=ConditionalKernel(qf),
-        i_ux=info_from_nats(iux, unit),
-        i_uy=info_from_nats(iuy, unit),
-        lagrangian=InfoValue(lag * factor, unit),
-        restarts_used=len(inits),
-        converged=conv,
-        history=tuple(h * factor for h in hist),
-    )
+    const = np.eye(1, card).repeat(nx, axis=0)
+    sols = []
+    for g, beta in enumerate(betas):
+        # beta <= 1 has no run: the constant variable is optimal, with
+        # Lagrangian exactly 0
+        lag, (q, conv, hist, (iux, iuy)) = best.get(
+            g, (0.0, (const, True, [0.0], (0.0, 0.0))))
+        sols.append(IbSolution(
+            beta=beta, card_u=card, kernel=ConditionalKernel(q),
+            i_ux=info_from_nats(iux, unit), i_uy=info_from_nats(iuy, unit),
+            lagrangian=InfoValue(lag * factor, unit),
+            restarts_used=len(inits) if g in best else 0, converged=conv,
+            history=tuple(h * factor for h in hist)))
+    return tuple(sols)
+
+
+def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
+                   restarts: int = 10, seed: int = 0,
+                   unit: str = "bits") -> IbSolution:
+    """Minimize the bottleneck Lagrangian at one multiplier.
+
+    Runs a deterministic identity-like start (U a copy of X, padded or
+    truncated to the auxiliary cardinality) plus ``restarts`` seeded
+    Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
+    broken by start index.  The runs advance in lockstep as one stack (see
+    `_ib_run`), each ending where it ends alone.  ``converged`` reflects
+    the winning run: whether it met ``CONV_TOL`` within ``MAX_ITERS``
+    refresh cycles.  For beta <= 1 the constant variable is returned
+    immediately (Lagrangian 0).  Raises `ValueError` for a ``beta`` that is
+    not positive and finite or a negative ``restarts``, and
+    `DimensionError` when the iteration's ``nx * card_u * ny`` array would
+    exceed ``MAX_SOLVER_ENTRIES`` entries.
+    """
+    return _ib_solve(j, (beta,), card_u, restarts, seed, unit)[0]
 
 
 @dataclass(frozen=True)
@@ -217,14 +252,16 @@ def _upper_concave_envelope(points):
 def ib_curve(j: JointDistribution, beta_grid, card_u: int | None = None,
              restarts: int = 10, seed: int = 0,
              unit: str = "bits") -> IbCurve:
-    """Sweep multipliers and build the achievable-region envelope."""
+    """Sweep multipliers and build the achievable-region envelope.
+
+    Each entry of ``solutions`` is what `ib_fixed_point` returns at that
+    multiplier; the runs of all multipliers advance as one batch.  Raises
+    as `ib_fixed_point` does, and `ValueError` for an empty grid.
+    """
     betas = tuple(float(b) for b in beta_grid)
     if not betas:
         raise ValueError("beta grid is empty")
-    sols = tuple(
-        ib_fixed_point(j, b, card_u=card_u, restarts=restarts, seed=seed,
-                       unit=unit)
-        for b in betas)
+    sols = _ib_solve(j, betas, card_u, restarts, seed, unit)
     mi = mutual_information(j, unit).value
     px, _ = marginals(j)
     hx = entropy(px, unit).value

@@ -149,6 +149,24 @@ class TestMeasures:
         doc = json.loads(capsys.readouterr().out)
         assert doc["measures"]["wyner"]["residual"] == 0.0
 
+    def test_mi_and_bottleneck_with_underflowing_products(
+            self, capsys, tmp_path):
+        # P(x) P(y) and P(u) P(y) underflow on the first cell; mi and every
+        # I(U;Y) stay finite.  The f-informations still divide by the
+        # underflowed product and warn.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"p": [[1e-170, 0.0], [0.0, 1.0]]}))
+        with pytest.warns(RuntimeWarning):
+            code = main(["measures", str(path), "--restarts", "0"])
+        assert code == EXIT_OK
+        m = json.loads(capsys.readouterr().out)["measures"]
+        assert m["mi"] == pytest.approx(m["h_x"], rel=1e-9)
+        assert m["mi"] == pytest.approx(5.647277761308517e-168, rel=1e-9)
+        for beta, sol in m["ib"].items():
+            assert sol["i_uy"] == pytest.approx(m["mi"], rel=1e-9)
+            assert sol["lagrangian"] == pytest.approx(
+                (1.0 - float(beta)) * m["mi"], rel=1e-9)
+
     def test_point_mass_reports_positive_zero(self, capsys, tmp_path):
         path = _write(tmp_path, "point.json", [[0.5, 0.5]])
         assert main(["measures", path, "--restarts", "0"]) == EXIT_OK

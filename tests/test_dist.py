@@ -354,6 +354,14 @@ class TestMutualInformation:
         assert mutual_information(j).value == pytest.approx(
             0.5310044064107188, abs=1e-12)
 
+    def test_product_of_marginals_that_underflows(self):
+        # P(x) P(y) of the first cell underflows to 0; the value is
+        # 1e-170 * log2(1e170) bits, which is H(X)
+        j = JointDistribution([[1e-170, 0.0], [0.0, 1.0]])
+        mi = mutual_information(j).value
+        assert mi == pytest.approx(5.647277761308517e-168, rel=1e-12)
+        assert mi == pytest.approx(entropy(marginals(j)[0]).value, rel=1e-12)
+
     @given(st.integers(0, 10_000))
     def test_bounded_by_min_entropy(self, seed):
         rng = np.random.default_rng(seed)

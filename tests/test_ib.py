@@ -1,5 +1,7 @@
 """Bottleneck Lagrangian minimization and the constrained relevance curve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
@@ -7,7 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 import infosep.ib
 from infosep.dist import JointDistribution, mutual_information, validate_and_trim
 from infosep.errors import DimensionError
-from infosep.harness import random_joint, random_refinement
+from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
 
@@ -163,6 +165,60 @@ class TestFixedPoint:
             a = ib_fixed_point(refined, beta, restarts=10, seed=0)
             b = ib_fixed_point(red, beta, restarts=10, seed=0)
             assert abs(float(a.lagrangian) - float(b.lagrangian)) <= 5e-3
+
+
+def assert_same_solution(a, b):
+    assert a.beta == b.beta and a.card_u == b.card_u
+    np.testing.assert_array_equal(a.kernel.k, b.kernel.k)
+    for field in ("i_ux", "i_uy", "lagrangian"):
+        assert getattr(a, field) == getattr(b, field), field
+    assert a.converged == b.converged
+    assert a.restarts_used == b.restarts_used
+    assert a.history == b.history
+
+
+class TestIbBatch:
+    """All (beta, start) runs of one call advance in lockstep stacks."""
+
+    GRID = (0.5, 1.5, 2.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("restarts", [0, 10])
+    @pytest.mark.parametrize("table", ["dsbs", "random"])
+    def test_curve_solutions_match_each_beta_alone(self, table, restarts):
+        j = dsbs(0.1) if table == "dsbs" else random_joint(3, 3, seed=0)
+        c = ib_curve(j, self.GRID, restarts=restarts, seed=0)
+        for beta, sol in zip(self.GRID, c.solutions):
+            assert_same_solution(
+                sol, ib_fixed_point(j, beta, restarts=restarts, seed=0))
+
+    def test_cut_run_beside_converging_runs(self, dsbs01, monkeypatch):
+        # alone, the copy start at beta = 1.5 needs 454 refresh cycles and
+        # the one at beta = 5 fewer than 40: the cap cuts only the first
+        monkeypatch.setattr(infosep.ib, "MAX_ITERS", 40)
+        c = ib_curve(dsbs01, self.GRID, restarts=0)
+        by_beta = dict(zip(self.GRID, c.solutions))
+        assert not by_beta[1.5].converged and len(by_beta[1.5].history) == 41
+        assert by_beta[5.0].converged and len(by_beta[5.0].history) < 41
+        for beta, sol in zip(self.GRID, c.solutions):
+            assert_same_solution(sol, ib_fixed_point(dsbs01, beta, restarts=0))
+
+    def test_memory_stays_within_one_stack(self, monkeypatch):
+        # 48 x 911 x 48 is just over 2**21 work entries per run, so each
+        # stack holds one run: restarts=10 runs 11 stacks one after another
+        # and peaks about where restarts=0 does, where one stack of all 11
+        # runs would need about eleven times it
+        j = random_joint(48, 48, seed=0)
+        monkeypatch.setattr(infosep.ib, "MAX_ITERS", 1)
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                ib_fixed_point(j, 2.0, card_u=911, restarts=restarts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) <= 1.5 * peak(0)
 
 
 class TestCurve:
