@@ -53,7 +53,6 @@ from .common_info import (
     GkResult,
     WynerResult,
     gacs_korner,
-    gk_via_components,
     wyner_solve,
 )
 from .ib import (

@@ -2,9 +2,10 @@
 
 The reduction code (minimal sufficient maps) and the common-part code
 (Gacs-Korner) both group symbols into the connected components of a graph
-on the symbols: rows within a tolerance of each other, or x and y symbols
-joined by a support cell.  `label_components` labels those components and
-`group_rows` builds the closeness graph for it.
+on the symbols.  `label_components` labels those components.  The
+reduction joins rows within a tolerance of each other, and `group_rows`
+builds that closeness graph for it; Gacs-Korner joins x and y symbols that
+share a support cell and calls `label_components` directly.
 
 `group_rows` does not compare every pair of rows.  Two rows are joined when
 they differ by at most ``tol`` in every column, so a set of rows whose

@@ -3,15 +3,12 @@
 Two notions are computed here.
 
 Deterministic common part (Gacs-Korner): the largest random variable that
-both coordinates determine almost surely.  Spectrally, each exact unit mode
-carries a pair of features with f(X) = g(Y) almost surely; they span the
-null space of the support-cell differences f(x) - g(y) of the modes near 1,
-and grouping symbols by their features there yields the common alphabet,
-whose entropy is the value.  A support-graph construction
-(`gk_via_components`) computes the same object from connected components of
-the bipartite support.  It builds its graph without the spectrum, so it
-cross-checks the spectral route, though both label components with the one
-labeller in `_grouping`.
+both coordinates determine almost surely.  It is the connected component of
+the bipartite support graph that holds the cell (X, Y), so `gacs_korner`
+labels those components and takes the entropy of the label.  The unit
+singular values of the dependence spectrum characterize the same object
+(Witsenhausen 1975); the tests check the component route against that
+spectral one.
 
 Stochastic common information (Wyner): the least I(W; X, Y) over auxiliary
 variables W making X and Y conditionally independent.  `wyner_solve`
@@ -34,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grouping import group_rows, label_components
+from . import _grouping
+from ._grouping import label_components
 from .dist import (
     MAX_SOLVER_ENTRIES,
     ConditionalKernel,
@@ -50,13 +48,7 @@ from .dist import (
     rel_entr,
 )
 from .errors import DimensionError, NumericalError
-from .modal import modal_decompose
 
-#: singular values within this of 1 are candidate unit modes
-UNIT_TOL = 1e-8
-#: feature rows within this in sup norm belong to one common symbol, and
-#: support-cell feature differences with singular values up to it vanish
-FEATURE_GROUP_TOL = 1e-8
 #: penalty weight schedule for the Wyner solver
 PENALTY_SCHEDULE = (1.0, 10.0, 100.0)
 #: accepted descent steps allowed per penalty stage of one Wyner start
@@ -78,7 +70,10 @@ class GkResult:
 
     ``common_map_x`` and ``common_map_y`` land in one shared alphabet and
     agree almost surely: every support cell (x, y) has
-    ``common_map_x(x) == common_map_y(y)``.
+    ``common_map_x(x) == common_map_y(y)``.  The alphabet holds the
+    ``component_count`` components of the support graph, and ``k`` is
+    ``component_count - 1``, the number of unit singular values of the
+    dependence spectrum.
     """
 
     value: InfoValue
@@ -88,66 +83,13 @@ class GkResult:
     component_count: int
 
 
-def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,
-                        n_classes: int, unit: str) -> InfoValue:
-    masses = np.zeros(n_classes)
-    np.add.at(masses, labels, px)
-    return entropy(masses, unit)
-
-
 def gacs_korner(j: JointDistribution, unit: str = "bits") -> GkResult:
-    """Deterministic common part via the dependence spectrum.
-
-    A combination of the c candidate modes (within ``UNIT_TOL`` of 1) is an
-    exact unit mode, f(X) = g(Y) almost surely, exactly when its x and y
-    features agree on every support cell.  ``k`` is the dimension of that
-    null space of ``F[x, :c] - G[y, :c]`` over the support cells, from one
-    thin SVD with singular values up to ``FEATURE_GROUP_TOL`` taken as 0.
-    A near unit mode differs by order one across the low-mass cell joining
-    its sides, so it stays outside even where the SVD mixed it into an
-    exact one.  The x and y feature rows in the null space are grouped
-    jointly into one alphabet; the value is the entropy of its symbol.
-
-    `NumericalError` is raised when the maps disagree on a support cell, or
-    when k < c and they have fewer classes than the support graph has
-    components (maps that agree on the support never have more): a unit
-    mode whose feature on a tiny-mass symbol is lost to rounding leaves the
-    null space too, and would read low.
-    """
-    md = modal_decompose(j)
-    xs, ys = np.nonzero(j.p > 0.0)
-    c = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
-    _, sv, vt = np.linalg.svd(md.F[xs, :c] - md.G[ys, :c],
-                              full_matrices=False)
-    null = vt[int(np.sum(sv > FEATURE_GROUP_TOL)):].T
-    k = null.shape[1]
-    labels = group_rows(np.vstack([md.F[:, :c], md.G[:, :c]]) @ null,
-                        FEATURE_GROUP_TOL)
-    labels_x, labels_y = labels[:j.nx], labels[j.nx:]
-    n_classes = int(labels.max()) + 1
-    if np.any(labels_x[xs] != labels_y[ys]):
-        raise NumericalError("common maps disagree on a support cell")
-    if k < c:
-        components = int(label_components(j.nx + j.ny, xs, j.nx + ys).max()) + 1
-        if n_classes < components:
-            raise NumericalError(
-                f"unit modes are not exact: {n_classes} common classes "
-                f"against {components} support components")
-    return GkResult(
-        value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
-        k=k,
-        common_map_x=DeterministicMap(labels_x, n_classes),
-        common_map_y=DeterministicMap(labels_y, n_classes),
-        component_count=n_classes,
-    )
-
-
-def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:
     """Deterministic common part from the bipartite support graph.
 
     Connects x and y symbols whenever P(x, y) > 0; the connected components
-    are exactly the common symbols.  The graph is built without the
-    spectrum, so this cross-checks the spectral route.
+    are exactly the common symbols (Gacs and Korner 1973), so the common
+    maps agree on every support cell and the value is the entropy of the
+    component label.  Exact: it needs no tolerance and no spectrum.
     """
     xs, ys = np.nonzero(j.p > 0.0)
     labels = label_components(j.nx + j.ny, xs, j.nx + ys)
@@ -155,13 +97,22 @@ def gk_via_components(j: JointDistribution, unit: str = "bits") -> GkResult:
     labels_y = labels[j.nx:]
     n_classes = int(labels.max()) + 1
     px, _ = marginals(j)
+    masses = np.zeros(n_classes)
+    np.add.at(masses, labels_x, px)
     return GkResult(
-        value=_entropy_of_classes(px, labels_x, n_classes, unit),
+        value=entropy(masses, unit),
         k=n_classes - 1,
         common_map_x=DeterministicMap(labels_x, n_classes),
         common_map_y=DeterministicMap(labels_y, n_classes),
         component_count=n_classes,
     )
+
+
+# The benchmark traces GK under the name `gk_via_components`, and its own
+# tests read `group_rows` here; both bindings live until the benchmark is
+# retargeted (ROADMAP item 4).
+gk_via_components = gacs_korner
+group_rows = _grouping.group_rows
 
 
 @dataclass(frozen=True)

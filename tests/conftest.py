@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import infosep.dist
+import infosep.modal
 from infosep.harness import dsbs, random_refinement
 
 settings.register_profile(
@@ -47,14 +48,12 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture
-def pushforward_calls(monkeypatch):
-    """A list that gains one entry per `pushforward` call.
+def _count_calls(monkeypatch, real):
+    """A list that gains one entry per call of the package function ``real``.
 
     Every ``infosep`` module that binds the function gets the counting
     wrapper, so a call counts whichever module makes it.
     """
-    real = infosep.dist.pushforward
     calls = []
 
     def counted(*args, **kwargs):
@@ -67,3 +66,15 @@ def pushforward_calls(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def pushforward_calls(monkeypatch):
+    """One entry per `pushforward` call (see `_count_calls`)."""
+    return _count_calls(monkeypatch, infosep.dist.pushforward)
+
+
+@pytest.fixture
+def modal_decompose_calls(monkeypatch):
+    """One entry per `modal_decompose` call (see `_count_calls`)."""
+    return _count_calls(monkeypatch, infosep.modal.modal_decompose)

@@ -2,19 +2,32 @@
 
 Nothing here calls a solver of the package: each reference computes its
 answer another way, so agreement is evidence, not a tautology.
+`gk_spectral` is the one reference built on a package computation: it
+reads the unit modes of `modal_decompose`, so it is independent of the
+support-graph route of `gacs_korner` but not of the spectrum.
 """
 
 import numpy as np
 
+from infosep._grouping import group_rows, label_components
+from infosep.common_info import GkResult
 from infosep.dist import (
     DeterministicMap,
     InfoValue,
     JointDistribution,
     conditional_mutual_information,
+    entropy,
     info_from_nats,
     marginals,
 )
-from infosep.errors import DimensionError
+from infosep.errors import DimensionError, NumericalError
+from infosep.modal import modal_decompose
+
+#: singular values within this of 1 are candidate unit modes
+UNIT_TOL = 1e-8
+#: feature rows within this in sup norm belong to one common symbol, and
+#: support-cell feature differences with singular values up to it vanish
+FEATURE_GROUP_TOL = 1e-8
 
 
 class NoFeasiblePoint(Exception):
@@ -131,3 +144,57 @@ def group_rows_all_pairs(rows, tol: float) -> np.ndarray:
     first = {}
     return np.array([first.setdefault(find(a), len(first)) for a in range(n)],
                     dtype=np.int64)
+
+
+def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,
+                        n_classes: int, unit: str) -> InfoValue:
+    masses = np.zeros(n_classes)
+    np.add.at(masses, labels, px)
+    return entropy(masses, unit)
+
+
+def gk_spectral(j: JointDistribution, unit: str = "bits") -> GkResult:
+    """Deterministic common part via the dependence spectrum.
+
+    A combination of the c candidate modes (within ``UNIT_TOL`` of 1) is an
+    exact unit mode, f(X) = g(Y) almost surely, exactly when its x and y
+    features agree on every support cell.  ``k`` is the dimension of that
+    null space of ``F[x, :c] - G[y, :c]`` over the support cells, from one
+    thin SVD with singular values up to ``FEATURE_GROUP_TOL`` taken as 0.
+    A near unit mode differs by order one across the low-mass cell joining
+    its sides, so it stays outside even where the SVD mixed it into an
+    exact one.  The x and y feature rows in the null space are grouped
+    jointly into one alphabet; the value is the entropy of its symbol.
+
+    `NumericalError` is raised when the maps disagree on a support cell, or
+    when k < c and they have fewer classes than the support graph has
+    components (maps that agree on the support never have more): a unit
+    mode whose feature on a tiny-mass symbol is lost to rounding leaves the
+    null space too, and would read low.
+    """
+    md = modal_decompose(j)
+    xs, ys = np.nonzero(j.p > 0.0)
+    c = int(np.sum(md.sigmas >= 1.0 - UNIT_TOL))
+    _, sv, vt = np.linalg.svd(md.F[xs, :c] - md.G[ys, :c],
+                              full_matrices=False)
+    null = vt[int(np.sum(sv > FEATURE_GROUP_TOL)):].T
+    k = null.shape[1]
+    labels = group_rows(np.vstack([md.F[:, :c], md.G[:, :c]]) @ null,
+                        FEATURE_GROUP_TOL)
+    labels_x, labels_y = labels[:j.nx], labels[j.nx:]
+    n_classes = int(labels.max()) + 1
+    if np.any(labels_x[xs] != labels_y[ys]):
+        raise NumericalError("common maps disagree on a support cell")
+    if k < c:
+        components = int(label_components(j.nx + j.ny, xs, j.nx + ys).max()) + 1
+        if n_classes < components:
+            raise NumericalError(
+                f"unit modes are not exact: {n_classes} common classes "
+                f"against {components} support components")
+    return GkResult(
+        value=_entropy_of_classes(md.px, labels_x, n_classes, unit),
+        k=k,
+        common_map_x=DeterministicMap(labels_x, n_classes),
+        common_map_y=DeterministicMap(labels_y, n_classes),
+        component_count=n_classes,
+    )

@@ -15,7 +15,7 @@ import pytest
 
 import infosep.common_info
 from infosep.cli import main as cli_main
-from infosep.common_info import gacs_korner, gk_via_components, wyner_solve
+from infosep.common_info import gacs_korner, wyner_solve
 from infosep.dist import (
     DeterministicMap,
     JointDistribution,
@@ -33,6 +33,7 @@ from infosep.harness import (
 )
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import modal_decompose
+from oracles import gk_spectral
 
 GENERATORS = ("kl", "reverse-kl", "chi2", "tv", "hellinger2")
 
@@ -169,20 +170,20 @@ def test_criterion_02_f_information_invariance(suite_refinement,
 
 
 def test_criterion_03_gk_block_structure(suite_blocks, acceptance_log):
-    """Spectral value matches the component oracle and survives refinement."""
+    """Component value matches the spectral oracle and survives refinement."""
     t0 = time.perf_counter()
     worst = 0.0
     rng = np.random.default_rng(20260813)
     for j, k_true in suite_blocks:
-        spectral = gacs_korner(j)
-        component = gk_via_components(j)
+        spectral = gk_spectral(j)
+        component = gacs_korner(j)
         assert spectral.k == k_true - 1
         assert component.component_count == k_true
         worst = max(worst, abs(float(spectral.value) - float(component.value)))
         refined, _, _ = random_refinement(j, j.nx + 2, j.ny + 2, seed=_seeds(rng))
         lifted = gacs_korner(refined)
-        assert lifted.k == spectral.k
-        worst = max(worst, abs(float(lifted.value) - float(spectral.value)))
+        assert lifted.k == component.k
+        worst = max(worst, abs(float(lifted.value) - float(component.value)))
     two_block = JointDistribution(np.kron(np.eye(2) / 2.0, np.full((2, 2), 0.25)))
     exact = gacs_korner(two_block)
     dt = time.perf_counter() - t0

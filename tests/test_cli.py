@@ -174,6 +174,26 @@ class TestMeasures:
         assert "-0.0" not in out
         assert json.loads(out)["measures"]["h_x"] == 0.0
 
+    def test_tiny_mass_symbol_keeps_its_block(self, capsys, tmp_path):
+        # two 2x2 blocks with x1 scaled to a mass near 1e-60: the unit
+        # mode's spectral feature on x1 is lost to rounding, but the support
+        # graph still has both blocks
+        rng = np.random.default_rng(0)
+        p = np.zeros((4, 4))
+        for b in (0, 2):
+            p[b:b + 2, b:b + 2] = 0.5 * rng.dirichlet(np.ones(4)).reshape(2, 2)
+        p[1] *= 1e-60
+        code, doc = run_json(capsys, ["measures", _write(tmp_path, "tiny.json", p),
+                                      "--restarts", "0"])
+        assert code == EXIT_OK
+        gk = doc["measures"]["gk"]
+        assert (gk["k"], gk["component_count"]) == (1, 2)
+
+    def test_decomposes_once(self, capsys, dsbs_file, modal_decompose_calls):
+        # the sigmas take the one decomposition; Gacs-Korner needs none
+        assert main(["measures", dsbs_file, "--restarts", "0"]) == EXIT_OK
+        assert len(modal_decompose_calls) == 1
+
     def test_unwritable_output(self, dsbs_file, tmp_path):
         target = tmp_path / "no-such-dir" / "out.json"
         assert main(["measures", dsbs_file, "--restarts", "1",

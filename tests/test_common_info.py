@@ -18,7 +18,6 @@ from infosep.common_info import (
     _wyner_grad,
     _wyner_stage,
     gacs_korner,
-    gk_via_components,
     wyner_solve,
 )
 from infosep.dist import (
@@ -34,7 +33,7 @@ from infosep.dist import (
 from infosep.errors import DimensionError, NumericalError
 from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.modal import minimal_sufficient_maps, reduce_joint
-from oracles import NoFeasiblePoint, wyner_grid_oracle
+from oracles import NoFeasiblePoint, gk_spectral, wyner_grid_oracle
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -138,16 +137,18 @@ class TestGacsKorner:
 
 
 class TestComponentOracle:
+    """The support-graph route, and its agreement with the spectral oracle."""
+
     def test_dsbs_single_component(self, dsbs01):
-        r = gk_via_components(dsbs01)
+        r = gacs_korner(dsbs01)
         assert r.component_count == 1
         assert r.value.value == 0.0
 
     def test_connected_support_gives_positive_zero(self, dsbs01):
-        assert math.copysign(1.0, gk_via_components(dsbs01).value.value) == 1.0
+        assert math.copysign(1.0, gacs_korner(dsbs01).value.value) == 1.0
 
     def test_two_block(self):
-        r = gk_via_components(two_block_uniform())
+        r = gacs_korner(two_block_uniform())
         assert r.component_count == 2
         assert r.value.value == 1.0
 
@@ -157,7 +158,7 @@ class TestComponentOracle:
         p = np.zeros((4, 4))
         for x, y in [(0, 1), (2, 1), (2, 3), (1, 0), (3, 0), (3, 2)]:
             p[x, y] = 1.0 / 6.0
-        r = gk_via_components(JointDistribution(p))
+        r = gacs_korner(JointDistribution(p))
         assert r.component_count == 2
         assert r.common_map_x.assignment.tolist() == [0, 1, 0, 1]
         assert r.common_map_y.assignment.tolist() == [1, 0, 1, 0]
@@ -165,7 +166,7 @@ class TestComponentOracle:
 
     def test_three_block_masses(self):
         j = block_joint([0.5, 0.25, 0.25], [(2, 2), (1, 2), (2, 1)], seed=6)
-        r = gk_via_components(j)
+        r = gacs_korner(j)
         assert r.value.value == pytest.approx(1.5, abs=1e-12)
 
     def test_agreement_with_spectral_on_random_blocks(self):
@@ -176,8 +177,8 @@ class TestComponentOracle:
             sizes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                      for _ in range(nblocks)]
             j = block_joint(masses, sizes, seed=case)
-            a = gacs_korner(j)
-            b = gk_via_components(j)
+            a = gk_spectral(j)
+            b = gacs_korner(j)
             assert a.value.value == pytest.approx(b.value.value, abs=1e-9)
             assert a.component_count == b.component_count
             # identical partitions up to relabeling
@@ -195,47 +196,69 @@ class TestComponentOracle:
         assert a.common_map_y.assignment.tolist() == b.common_map_y.assignment.tolist()
 
     def test_near_unit_mode_on_connected_support(self):
-        # sigma = 1 - 2e-9 lies within UNIT_TOL of 1, yet the support is
-        # connected, so the common part is trivial
+        # sigma = 1 - 2e-9 lies within the oracle's UNIT_TOL of 1, yet the
+        # support is connected, so the common part is trivial
         j = validate_and_trim([[1.0, 1e-9], [1e-9, 1.0]])
         r = gacs_korner(j)
         assert (r.value.value, r.k, r.component_count) == (0.0, 0, 1)
-        self._assert_same(r, gk_via_components(j))
+        self._assert_same(gk_spectral(j), r)
 
     @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-11])
     def test_two_blocks_with_off_block_leakage(self, eps):
         p = block_joint([0.4, 0.6], [(2, 2), (2, 3)], seed=0).p.copy()
         p[p == 0.0] = eps
         j = validate_and_trim(p)
-        self._assert_same(gacs_korner(j), gk_via_components(j))
+        self._assert_same(gk_spectral(j), gacs_korner(j))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13])
     def test_mixed_exact_and_near_unit_modes_never_read_low(self, eps, seed):
         # blocks 0 and 1 leak into each other through two cells of mass eps:
         # an exact unit mode and a near one within 1e-8 of it, whose
-        # features the SVD mixes; the near mode differs across the leaking
-        # cells, so it falls outside the null space of the support-cell
-        # differences and the exact mode is still found
+        # features the oracle's SVD mixes; the near mode differs across the
+        # leaking cells, so it falls outside the null space of the
+        # support-cell differences and the oracle still finds the exact mode
         p = block_joint([0.3, 0.3, 0.4], [(2, 2)] * 3, seed=seed).p.copy()
         p[0, 2] = p[3, 1] = eps
         j = validate_and_trim(p)
-        self._assert_same(gacs_korner(j), gk_via_components(j))
+        self._assert_same(gk_spectral(j), gacs_korner(j))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("scale", [1e-60, 1e-100])
     def test_tiny_mass_symbol_never_reads_low(self, scale, seed):
-        # x1 keeps a mass near scale, so the unit mode's feature on it is
-        # lost to rounding and the mode falls outside the null space; the
-        # component count then turns a low answer into an error
+        # x1 keeps a mass near scale, so the spectral oracle loses the unit
+        # mode's feature on it to rounding and raises; the support graph
+        # still has its two blocks
         p = block_joint([0.5, 0.5], [(2, 2), (2, 2)], seed=seed).p.copy()
         p[1] *= scale
         j = validate_and_trim(p)
-        try:
+        r = gacs_korner(j)
+        assert (r.k, r.component_count) == (1, 2)
+        assert r.common_map_x.assignment.tolist() == [0, 0, 1, 1]
+        assert r.common_map_y.assignment.tolist() == [0, 0, 1, 1]
+        assert r.value.value == pytest.approx(
+            binary_entropy(j.p[:2].sum()), abs=1e-12)
+
+    def test_agreement_with_spectral_over_wide_cell_range(self):
+        # cells from 1 down to 1e-300 give symbols of tiny mass and
+        # near-unit modes; wherever the oracle answers, the two routes agree
+        # to the bit
+        cells = [0.0, 0.5, 1.0, 1e-3, 1e-9, 1e-40, 1e-160, 1e-200, 1e-300]
+        rng = np.random.default_rng(1973)
+        answered = 0
+        for _ in range(400):
+            p = rng.choice(cells, size=tuple(rng.integers(1, 6, size=2)))
+            if not p.any():
+                continue
+            j = validate_and_trim(p)
             r = gacs_korner(j)
-        except NumericalError:
-            return
-        self._assert_same(r, gk_via_components(j))
+            try:
+                a = gk_spectral(j)
+            except NumericalError:
+                continue
+            self._assert_same(a, r)
+            answered += 1
+        assert answered >= 360
 
     def test_invariance_under_refinement(self):
         base = block_joint([0.5, 0.5], [(1, 1), (1, 1)], seed=0)
