@@ -41,10 +41,11 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     Merging is closed under chaining (a~b and b~c put a, c in one class even
     when a and c differ by more than `tol`).  Class labels are assigned in
     order of first occurrence, so the labeling is deterministic.  Zero-width
-    rows are all identical and form one class.  Rows must be finite.
+    rows are all identical and form one class.  A row with a non-finite
+    entry is compared with no other row and forms a class of its own.
 
     The graph is built by sort-and-split on a work list of row sets, which
-    starts with all rows:
+    starts with all finite rows:
 
     - a set whose largest per-column spread is at most `tol` is a clique,
       and star edges from its first row join it;
@@ -69,13 +70,11 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("group_rows expects a 2-d array")
-    if not np.isfinite(rows).all():
-        raise ValueError("group_rows expects finite rows")
     n = rows.shape[0]
     heads = [np.empty(0, dtype=np.int64)]
     tails = [np.empty(0, dtype=np.int64)]
     stored = 0
-    work = [np.arange(n)]
+    work = [np.flatnonzero(np.isfinite(rows).all(axis=1))]
     while work:
         idx = work.pop()
         if idx.size < 2:

@@ -48,7 +48,12 @@ from .errors import InfosepError, InsufficientStatistic
 from .finfo import BUILTIN_GENERATORS, f_information
 from .harness import IB_BETAS, random_refinement, verify_separability
 from .ib import _ib_solve, ib_curve
-from .modal import minimal_sufficient_maps, modal_decompose, reduce_joint
+from .modal import (
+    check_sufficiency,
+    minimal_sufficient_maps,
+    modal_decompose,
+    reduce_joint,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -192,11 +197,8 @@ def _cmd_measures(args) -> int:
     px, py = marginals(joint)
     # Every measure below except the entropies is invariant under sufficient
     # maps, so it is computed on the minimal sufficient alphabet.
-    s, t = minimal_sufficient_maps(joint)
-    try:
-        red = reduce_joint(joint, s, t, strict=True)
-    except InsufficientStatistic:
-        red = joint
+    verdict = check_sufficiency(joint, *minimal_sufficient_maps(joint))
+    red = verdict.reduced if verdict.sufficient else joint
     md = modal_decompose(red)
     gk = gacs_korner(red, unit=unit)
     wyner = wyner_solve(red, card_w=args.wyner_card, restarts=args.restarts,

@@ -112,10 +112,14 @@ def _ib_run(q, px, pygx, py, beta):
         # P(Y|U=u), left 0 for an unused u
         pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy),
                          where=pu[:, :, None] > 0.0)
-        pairs[live, 0] = (px[:, None] * rel_entr(q, pu[:, None, :])).sum(
-            axis=(1, 2))
-        # I(U;Y) as the average under P(u) of KL(P(Y|u) || P(Y)), so that no
-        # product P(u) P(y) can underflow to zero
+        # P(X|U=u), laid out like q and left 0 for an unused u
+        pxgu = np.divide(px[:, None] * q, pu[:, None, :], out=np.zeros_like(q),
+                         where=pu[:, None, :] > 0.0)
+        # I(U;X) and I(U;Y) as averages under P(u) of KL(P(X|u) || P(X)) and
+        # KL(P(Y|u) || P(Y)), so that no term divides by a P(u) or a product
+        # P(u) P(y) that underflowed to zero
+        pairs[live, 0] = (pu * rel_entr(pxgu, px[:, None]).sum(axis=1)).sum(
+            axis=1)
         pairs[live, 1] = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
         history.append(pairs.copy())
         stop = conv[live] | (cycle == MAX_ITERS)

@@ -14,8 +14,13 @@ the decomposition stable even when further singular values equal 1 (the
 degenerate case that matters for common-part extraction).
 
 Sufficiency of a pair of symbol maps (s, t) is equivalent to the density
-ratio being constant on the preimage blocks of (s, t); the minimal
-sufficient pair groups symbols with identical conditional rows.
+ratio r = P / (P_X P_Y) being constant on the preimage blocks of (s, t), so
+one matrix decides symbol identity: the minimal sufficient pair groups the
+x symbols whose rows of r coincide and the y symbols whose columns do, and
+the sufficiency check compares r with the reduced table's ratios.  Rows are
+compared shifted by one where positive, so that rows with different zero
+patterns never merge, and a row with an infinite ratio (beside a subnormal
+marginal) stays a symbol of its own.
 """
 
 from __future__ import annotations
@@ -25,20 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grouping import group_rows
-from .dist import (
-    DeterministicMap,
-    JointDistribution,
-    conditional_kernel,
-    marginals,
-    pushforward,
-)
+from .dist import DeterministicMap, JointDistribution, marginals, pushforward
 from .errors import DimensionError, InsufficientStatistic, NumericalError
 
 #: singular values at or below this are treated as numerically zero rank
 RANK_TOL = 1e-10
 #: singular values may exceed 1 by at most this much before being an error
 UNIT_SLACK = 1e-9
-#: conditional rows closer than this in sup norm describe the same symbol
+#: density-ratio rows closer than this in sup norm, with equal zero patterns
+#: and all entries finite, describe the same symbol
 ROW_GROUP_TOL = 1e-10
 #: sufficiency verdict tolerance on the density-ratio gap
 SUFFICIENCY_TOL = 1e-9
@@ -109,17 +109,32 @@ def modal_decompose(j: JointDistribution) -> ModalDecomposition:
     return ModalDecomposition(rank=int(sig.size), sigmas=sig, F=f, G=g, px=px, py=py)
 
 
+def _density_ratio(j: JointDistribution) -> np.ndarray:
+    """The density ratio ``P / (P_X P_Y)``, divided one marginal at a time.
+
+    The product ``px * py`` can underflow to zero, so it is never formed.
+    ``P / px`` is at most 1, so an entry overflows to ``+inf``, silently,
+    only beside a subnormal y marginal.
+    """
+    px, py = marginals(j)
+    with np.errstate(over="ignore"):
+        return j.p / px[:, None] / py
+
+
 def minimal_sufficient_maps(j: JointDistribution):
     """Coarsest per-coordinate maps that preserve the dependence exactly.
 
-    Groups x symbols whose conditional rows P(y | x) coincide within ``ROW_GROUP_TOL``
-    in sup norm (transitively), and y symbols by their P(x | y) columns.
-    Class indices follow first occurrence, so repeated calls agree.
+    Groups x symbols whose rows of the density ratio ``r`` coincide within
+    ``ROW_GROUP_TOL`` in sup norm (transitively), and y symbols by their
+    columns of ``r``.  The rows compared are those of ``r + (r > 0)``, so
+    rows with different zero patterns lie at least 1 apart, and a row with
+    an infinite entry forms a class of its own (see `group_rows`).  Class
+    indices follow first occurrence, so repeated calls agree.
     """
-    rows_x = conditional_kernel(j, "y|x").k
-    rows_y = conditional_kernel(j, "x|y").k
-    s = DeterministicMap(group_rows(rows_x, ROW_GROUP_TOL))
-    t = DeterministicMap(group_rows(rows_y, ROW_GROUP_TOL))
+    r = _density_ratio(j)
+    r = r + (r > 0.0)
+    s = DeterministicMap(group_rows(r, ROW_GROUP_TOL))
+    t = DeterministicMap(group_rows(r.T, ROW_GROUP_TOL))
     return s, t
 
 
@@ -142,17 +157,17 @@ def check_sufficiency(j: JointDistribution, s: DeterministicMap,
 
     The criterion is equality of density ratios: the pair is sufficient iff
     P(x,y) / (P_X P_Y) equals the reduced ratio at (s(x), t(y)) for every
-    cell, within ``SUFFICIENCY_TOL``.  The table is aggregated once, by
+    cell, within ``SUFFICIENCY_TOL``; equal entries, matching infinities
+    included, count as no gap.  The table is aggregated once, by
     `pushforward`, which raises `DimensionError` for maps that do not cover
     the joint's alphabets; the aggregate is returned as ``reduced``.
     """
     red = pushforward(j, s, t)
-    px, py = marginals(j)
-    ps, pt = marginals(red)
-    # one marginal at a time: the product px * py can underflow to zero
-    ratio = j.p / px[:, None] / py
-    ratio_red = (red.p / ps[:, None] / pt)[np.ix_(s.assignment, t.assignment)]
-    gap = float(np.max(np.abs(ratio - ratio_red)))
+    ratio = _density_ratio(j)
+    ratio_red = _density_ratio(red)[np.ix_(s.assignment, t.assignment)]
+    diff = np.subtract(ratio, ratio_red, out=np.zeros_like(ratio),
+                       where=ratio != ratio_red)
+    gap = float(np.max(np.abs(diff)))
     return SufficiencyVerdict(sufficient=gap <= SUFFICIENCY_TOL,
                               max_ratio_gap=gap, reduced=red)
 

@@ -21,7 +21,7 @@ from infosep.dist import (
     marginals,
 )
 from infosep.errors import DimensionError, NumericalError
-from infosep.modal import modal_decompose
+from infosep.modal import ROW_GROUP_TOL, modal_decompose
 
 #: singular values within this of 1 are candidate unit modes
 UNIT_TOL = 1e-8
@@ -144,6 +144,19 @@ def group_rows_all_pairs(rows, tol: float) -> np.ndarray:
     first = {}
     return np.array([first.setdefault(find(a), len(first)) for a in range(n)],
                     dtype=np.int64)
+
+
+def minimal_maps_by_profiles(j: JointDistribution):
+    """Minimal sufficient maps by grouping conditional profiles.
+
+    Groups x symbols whose rows ``P(y|x)`` lie within ``ROW_GROUP_TOL`` in
+    sup norm and y symbols by ``P(x|y)``.  This differs from grouping
+    density-ratio rows on tiny-mass symbols and on zero patterns, but on
+    tables in the normal float range the two should agree.
+    """
+    px, py = marginals(j)
+    return (DeterministicMap(group_rows(j.p / px[:, None], ROW_GROUP_TOL)),
+            DeterministicMap(group_rows(j.p.T / py[:, None], ROW_GROUP_TOL)))
 
 
 def _entropy_of_classes(px: np.ndarray, labels: np.ndarray,

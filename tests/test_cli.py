@@ -1,6 +1,7 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,19 +176,24 @@ class TestMeasures:
         assert json.loads(out)["measures"]["h_x"] == 0.0
 
     def test_tiny_mass_symbol_keeps_its_block(self, capsys, tmp_path):
-        # two 2x2 blocks with x1 scaled to a mass near 1e-60: the unit
-        # mode's spectral feature on x1 is lost to rounding, but the support
-        # graph still has both blocks
-        rng = np.random.default_rng(0)
-        p = np.zeros((4, 4))
-        for b in (0, 2):
-            p[b:b + 2, b:b + 2] = 0.5 * rng.dirichlet(np.ones(4)).reshape(2, 2)
-        p[1] *= 1e-60
-        code, doc = run_json(capsys, ["measures", _write(tmp_path, "tiny.json", p),
+        # the unit mode's spectral feature on x1 is lost to rounding, but
+        # the support graph still has both blocks
+        code, doc = run_json(capsys, ["measures", tiny_mass_file(tmp_path),
                                       "--restarts", "0"])
         assert code == EXIT_OK
         gk = doc["measures"]["gk"]
         assert (gk["k"], gk["component_count"]) == (1, 2)
+
+    def test_bottleneck_i_ux_with_underflowing_p_u(self, capsys, tmp_path):
+        # P(x) q(u|x) underflows to zero on the tiny rows, so P(u) does too
+        # while q(u|x) does not; I(U;X), an average of KL(P(X|u) || P(X))
+        # under P(u), divides by no such P(u) and stays finite
+        path = _write(tmp_path, "tiny.json", [[1.0, 3.54e-146], [8.94e-130, 0.0]])
+        assert main(["measures", path, "--restarts", "0"]) == EXIT_OK
+        m = json.loads(capsys.readouterr().out)["measures"]
+        for sol in m["ib"].values():
+            assert 0.0 <= sol["i_ux"] <= m["h_x"]
+            assert sol["lagrangian"] == 0.0 and sol["converged"]
 
     def test_decomposes_once(self, capsys, dsbs_file, modal_decompose_calls):
         # the sigmas take the one decomposition; Gacs-Korner needs none
@@ -279,6 +285,16 @@ def _write(tmp_path, name, p):
     path = tmp_path / name
     path.write_text(json.dumps({"p": np.asarray(p).tolist()}))
     return str(path)
+
+
+def tiny_mass_file(tmp_path):
+    """Two 2x2 blocks of mass 0.5 with row x1 scaled to a mass near 1e-60."""
+    rng = np.random.default_rng(0)
+    p = np.zeros((4, 4))
+    for b in (0, 2):
+        p[b:b + 2, b:b + 2] = 0.5 * rng.dirichlet(np.ones(4)).reshape(2, 2)
+    p[1] *= 1e-60
+    return _write(tmp_path, "tiny_mass.json", p)
 
 
 def _assert_close(a, b, tol, where="measures"):
@@ -401,7 +417,40 @@ class TestReduce:
         assert json.loads(side.read_text())["t"] == [0, 1]
 
 
+    def test_tiny_mass_symbol_strict(self, capsys, tmp_path):
+        # the y columns of each block have P(x|y) equal up to about 1e-60
+        # but density ratios at x1 that differ by order one
+        code, doc = run_json(capsys, ["reduce", tiny_mass_file(tmp_path),
+                                      "--strict"])
+        assert code == EXIT_OK
+        assert doc["maps"] == {"s": [0, 1, 2, 3], "t": [0, 1, 2, 3]}
+
+    def test_zero_patterns_keep_their_columns(self, capsys, tmp_path):
+        path = _write(tmp_path, "zeros.json", [[1e-200, 0.0], [0.5, 0.5]])
+        code, doc = run_json(capsys, ["reduce", path, "--strict"])
+        assert code == EXIT_OK
+        assert doc["maps"] == {"s": [0, 1], "t": [0, 1]}
+
+    def test_subnormal_marginal_strict_without_warning(self, capsys, tmp_path):
+        # the ratio beside the subnormal marginals overflows to +inf on the
+        # raw and the reduced table alike
+        path = _write(tmp_path, "subnormal.json", [[1e-310, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(capsys, ["reduce", path, "--strict"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert doc["maps"] == {"s": [0, 1], "t": [0, 1]}
+
+
 class TestVerify:
+    def test_zero_pattern_table_verifies(self, capsys, tmp_path):
+        # reverse KL is +inf raw and reduced, as the zero cell stays apart
+        path = _write(tmp_path, "zeros.json", [[1e-200, 0.0], [0.5, 0.5]])
+        code, doc = run_json(capsys, ["verify", path, "--restarts", "0"])
+        assert code == EXIT_OK
+        assert doc["report"]["sufficient"] is True
+
     def test_auto_refine_passes(self, dsbs_file):
         code = main(["verify", dsbs_file, "--auto-refine", "4", "4",
                      "--seed", "3", "--restarts", "3", "--wyner-card", "4"])

@@ -72,9 +72,14 @@ def test_zero_width_rows_form_one_class():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_rejects_non_finite_rows(bad):
-    with pytest.raises(ValueError, match="finite"):
-        group_rows(np.array([[0.0, 1.0], [bad, 0.0]]), 1e-10)
+def test_non_finite_rows_are_singletons(bad):
+    # rows 1 and 3 are equal but not finite, so neither joins another row;
+    # the finite rows group as they do without them
+    finite = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1e-12]])
+    rows = np.insert(finite, [1, 2], [[bad, 0.0], [bad, 0.0]], axis=0)
+    assert group_rows(finite, 1e-10).tolist() == [0, 0, 1, 1]
+    assert group_rows(rows, 1e-10).tolist() == [0, 1, 0, 2, 3, 3]
+    assert group_rows(rows[[1, 3]], 1e-10).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("bad", [np.float64(3.0), np.zeros(3), np.zeros((2, 2, 2))])

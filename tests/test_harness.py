@@ -253,6 +253,24 @@ class TestSimulateAndEstimate:
         assert abs(float(sim.mi_plugin_raw) - 0.53100) <= 0.02
         assert abs(float(sim.mi_plugin_reduced) - 0.53100) <= 0.02
 
+    def test_reduced_estimate_has_the_smaller_bias(self, dsbs01):
+        # 8x8 refinement of a 2x2 base at n = 1,000: the first-order (Miller)
+        # biases are 49 / 2000 nats raw and 1 / 2000 reduced
+        j, s, t = random_refinement(dsbs01, 8, 8, seed=3)
+        n = 1000
+        raw, red = np.array([
+            (sim.mi_plugin_raw.value - sim.mi_true.value,
+             sim.mi_plugin_reduced.value - sim.mi_true.value)
+            for sim in (simulate_and_estimate(j, s, t, n=n, seed=k, unit="nats")
+                        for k in range(100))]).T
+        miller_raw, miller_red = 49 / (2 * n), 1 / (2 * n)
+        # merging symbols of the empirical table never raises its MI
+        assert (raw >= red).all()
+        assert 0.5 * miller_raw < raw.mean() < 1.5 * miller_raw
+        excess, miller_excess = (raw - red).mean(), miller_raw - miller_red
+        assert 0.5 * miller_excess < excess < 1.5 * miller_excess
+        assert abs(red.mean()) < 0.25 * miller_raw
+
     def test_estimates_in_report_unit(self, dsbs01_refined):
         j, s, t = dsbs01_refined
         sim = simulate_and_estimate(j, s, t, n=2000, seed=5, unit="nats")

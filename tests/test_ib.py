@@ -8,7 +8,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 import infosep.ib
 from infosep.dist import JointDistribution, mutual_information, validate_and_trim
-from infosep.errors import DimensionError
+from infosep.errors import DimensionError, InvalidDistribution
 from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
@@ -156,6 +156,26 @@ class TestFixedPoint:
     def test_size_limit_raises_before_solving(self, dsbs01):
         with pytest.raises(DimensionError, match="--card-u"):
             ib_fixed_point(dsbs01, 2.0, card_u=2**20 + 1, restarts=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_when_p_u_underflows(self):
+        # cells 10^-U(0, 320), 30% zeroed: P(x) q(u|x) can underflow to
+        # zero where q(u|x) does not, and P(u) with it
+        rng = np.random.default_rng(0)
+        solved = 0
+        for _ in range(400):
+            nx, ny = rng.integers(2, 4, size=2)
+            cells = 10.0 ** -rng.uniform(0, 320, size=(nx, ny))
+            cells[rng.random((nx, ny)) < 0.3] = 0.0
+            try:
+                j = validate_and_trim(cells)
+            except InvalidDistribution:
+                continue
+            for sol in infosep.ib._ib_solve(j, (1.5, 5.0), None, 0, 0, "bits"):
+                solved += 1
+                assert np.isfinite([sol.i_ux.value, sol.i_uy.value,
+                                    sol.lagrangian.value]).all(), j.p.tolist()
+        assert solved > 700
 
     def test_lagrangian_invariance_under_refinement(self):
         base = random_joint(2, 2, alpha=2.0, seed=31)

@@ -13,15 +13,21 @@ from infosep.dist import (
     mutual_information,
     validate_and_trim,
 )
-from infosep.errors import DimensionError, InsufficientStatistic
-from infosep.harness import random_joint
+from infosep.errors import (
+    DimensionError,
+    InsufficientStatistic,
+    InvalidDistribution,
+)
+from infosep.finfo import f_information
+from infosep.harness import random_joint, random_refinement
 from infosep.modal import (
+    _density_ratio,
     check_sufficiency,
     minimal_sufficient_maps,
     modal_decompose,
     reduce_joint,
 )
-from oracles import cube_cmi, gk_spectral, refines
+from oracles import cube_cmi, gk_spectral, minimal_maps_by_profiles, refines
 
 DSBS01 = np.array([[0.45, 0.05], [0.05, 0.45]])
 ROWDUP = np.array([[0.3, 0.1], [0.15, 0.05], [0.1, 0.3]])
@@ -32,6 +38,15 @@ def two_block_uniform():
     p[:2, :2] = 0.125
     p[2:, 2:] = 0.125
     return JointDistribution(p)
+
+
+def block_joint_p(seed=0):
+    """Two 2x2 blocks of mass 0.5, each a Dirichlet(1) table."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros((4, 4))
+    for b in (0, 2):
+        p[b:b + 2, b:b + 2] = 0.5 * rng.dirichlet(np.ones(4)).reshape(2, 2)
+    return p
 
 
 def dirichlet_joint(nx, ny, seed):
@@ -350,3 +365,85 @@ class TestMarginalProductUnderflow:
         md = modal_decompose(j)
         assert md.rank == 1
         assert md.sigmas[0] == pytest.approx(closed, rel=1e-12)
+
+
+def probe_tables(count, seed=0):
+    """Derandomized tables up to 3x3 with cells from a wide-range probe set."""
+    probe = [0.0, 0.5, 1.0, 1e-160, 1e-200, 1e-300, 1e-310, 1e308]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nx, ny = rng.integers(1, 4, size=2)
+        try:
+            yield validate_and_trim(rng.choice(probe, size=(nx, ny)))
+        except InvalidDistribution:
+            continue
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDensityRatioIdentity:
+    """One density ratio decides symbol identity for the maps and the check."""
+
+    def test_overflow_only_beside_a_subnormal_marginal(self):
+        j = validate_and_trim([[1e-310, 0.0], [0.0, 1.0]])
+        r = _density_ratio(j)
+        assert r[0, 0] == np.inf
+        assert r[1].tolist() == [0.0, 1.0] and r[0, 1] == 0.0
+
+    def test_matching_infinities_count_as_no_gap(self):
+        j = validate_and_trim([[1e-310, 0.0], [0.0, 1.0]])
+        s, t = minimal_sufficient_maps(j)
+        assert s.assignment.tolist() == [0, 1] and t.assignment.tolist() == [0, 1]
+        v = check_sufficiency(j, s, t)
+        assert v.sufficient and v.max_ratio_gap == 0.0
+
+    @pytest.mark.parametrize("p", [
+        # P(x|y) of the two columns differs by 2e-200
+        [[1e-200, 0.0], [0.5, 0.5]],
+        # the ratios of columns 0 and 1 differ by 8e-11 in every entry,
+        # within the grouping tolerance, but only column 0 has mass at x0
+        [[1e-11, 0.0, 0.5], [0.25, 0.25, 0.0]]])
+    def test_zero_patterns_never_merge(self, p):
+        j = validate_and_trim(p)
+        s, t = minimal_sufficient_maps(j)
+        assert t.assignment.tolist() == list(range(j.ny))
+        assert check_sufficiency(j, s, t).sufficient
+        # the zero cell keeps reverse KL infinite on the reduced table
+        assert f_information(reduce_joint(j, s, t), "reverse-kl").value == np.inf
+
+    def test_tiny_mass_symbol_keeps_ratios_apart(self):
+        # the y columns of each block have P(x|y) equal up to about 1e-60,
+        # the share of x1, but density ratios at x1 that differ by order one
+        p = block_joint_p()
+        p[1] *= 1e-60
+        j = validate_and_trim(p)
+        s, t = minimal_sufficient_maps(j)
+        v = check_sufficiency(j, s, t)
+        assert v.sufficient
+        assert t.image_size == 4
+
+    def test_wide_range_maps_pass_their_own_check(self):
+        # where every ratio is finite and below 1e100, the absolute 1e-9
+        # sufficiency tolerance is above rounding, so maps read from the
+        # ratios must pass the check that reads the same ratios
+        checked = 0
+        for j in probe_tables(3000):
+            r = _density_ratio(j)
+            if not (np.isfinite(r).all() and r.max() < 1e100):
+                continue
+            checked += 1
+            v = check_sufficiency(j, *minimal_sufficient_maps(j))
+            assert v.sufficient, (j.p.tolist(), v.max_ratio_gap)
+        assert checked > 1000
+
+    def test_conditional_profiles_are_the_oracle_on_normal_tables(self):
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            nx, ny = (int(v) for v in rng.integers(2, 6, size=2))
+            base = random_joint(nx, ny, alpha=(0.3, 1.0, 2.0)[seed % 3], seed=seed)
+            fine, _, _ = random_refinement(base, nx + int(rng.integers(0, 5)),
+                                           ny + int(rng.integers(0, 5)), seed=seed)
+            for j in (base, fine):
+                s, t = minimal_sufficient_maps(j)
+                os_, ot = minimal_maps_by_profiles(j)
+                np.testing.assert_array_equal(s.assignment, os_.assignment)
+                np.testing.assert_array_equal(t.assignment, ot.assignment)

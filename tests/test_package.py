@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -74,3 +75,19 @@ def test_no_unused_imports():
              for d in dirs for path in sorted(d.glob("*.py"))
              if path.name != "__init__.py" and (names := unused_imports(path))}
     assert not found
+
+
+def load_count_lines():
+    path = pathlib.Path(__file__).parent.parent / "tools" / "count_lines.py"
+    spec = importlib.util.spec_from_file_location("count_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_count_lines_leaves_out_blanks_comments_and_docstrings():
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nX = 1  # code\n\n\n'
+              'class A:\n    """One line."""\n\n    def f(self):\n'
+              '        """Two\n        lines."""\n        return (X,\n'
+              '                """not a docstring""")\n')
+    assert load_count_lines().count(source) == (16, 5)
