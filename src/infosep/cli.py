@@ -74,13 +74,16 @@ def _fail(code: int, message: str):
 
 
 def _load_distribution(path: str):
-    """Parse a distribution file; returns (joint, sha256 of the raw bytes)."""
+    """Parse a distribution file; returns (joint, its raw bytes).
+
+    The bytes are hashed only by the commands whose report carries the
+    digest (see `_base_doc`).
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read input {path!r}: {exc}")
-    digest = hashlib.sha256(blob).hexdigest()
     x_labels = y_labels = None
     try:
         if path.lower().endswith(".csv"):
@@ -97,7 +100,7 @@ def _load_distribution(path: str):
         joint = validate_and_trim(matrix, x_labels=x_labels, y_labels=y_labels)
     except (ValueError, TypeError, OverflowError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse input {path!r}: {exc}")
-    return joint, digest
+    return joint, blob
 
 
 def _load_maps(path: str, joint: JointDistribution):
@@ -178,10 +181,10 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _base_doc(args, path, digest, joint, seed) -> dict:
+def _base_doc(args, path, blob, joint, seed) -> dict:
     return {
         "tool": {"name": "infosep", "version": __version__},
-        "input": {"path": path, "sha256": digest,
+        "input": {"path": path, "sha256": hashlib.sha256(blob).hexdigest(),
                   "nx": joint.nx, "ny": joint.ny},
         "unit": args.unit,
         "seed": seed,
@@ -190,7 +193,7 @@ def _base_doc(args, path, digest, joint, seed) -> dict:
 
 
 def _cmd_measures(args) -> int:
-    joint, digest = _load_distribution(args.input)
+    joint, blob = _load_distribution(args.input)
     seed = _resolve_seed(args)
     unit = args.unit
     betas = args.beta or IB_BETAS
@@ -209,7 +212,7 @@ def _cmd_measures(args) -> int:
                                   "i_uy": sol.i_uy.value,
                                   "converged": sol.converged}
                 for sol in sols}
-    doc = _base_doc(args, args.input, digest, joint, seed)
+    doc = _base_doc(args, args.input, blob, joint, seed)
     doc["input"].update(reduced_nx=red.nx, reduced_ny=red.ny)
     doc["config"] = {"restarts": args.restarts, "betas": list(betas),
                      "wyner_card": args.wyner_card}
@@ -242,7 +245,7 @@ def _distribution_doc(joint: JointDistribution) -> dict:
 
 
 def _cmd_reduce(args) -> int:
-    joint, _ = _load_distribution(args.input)
+    joint = _load_distribution(args.input)[0]
     s, t = minimal_sufficient_maps(joint)
     reduced = reduce_joint(joint, s, t, strict=args.strict)
     dist_doc = _distribution_doc(reduced)
@@ -261,7 +264,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    joint, digest = _load_distribution(args.input)
+    joint, blob = _load_distribution(args.input)
     seed = _resolve_seed(args)
     if args.auto_refine is not None:
         nx, ny = args.auto_refine
@@ -278,7 +281,7 @@ def _cmd_verify(args) -> int:
     report = verify_separability(target, s, t, strict=args.strict, seed=seed,
                                  restarts=args.restarts, unit=args.unit,
                                  wyner_card=args.wyner_card)
-    doc = _base_doc(args, args.input, digest, target, seed)
+    doc = _base_doc(args, args.input, blob, target, seed)
     doc["config"] = {"restarts": args.restarts,
                      "auto_refine": list(args.auto_refine) if args.auto_refine else None,
                      "strict": args.strict,
@@ -297,7 +300,7 @@ def _cmd_ib_sweep(args) -> int:
         _fail(EXIT_PARSE, f"bad beta grid {args.beta_grid!r}: {exc}")
     for beta in betas:
         _check_beta("--beta-grid", beta)
-    joint, _ = _load_distribution(args.input)
+    joint = _load_distribution(args.input)[0]
     seed = _resolve_seed(args)
     curve = ib_curve(joint, betas, card_u=args.card_u,
                      restarts=args.restarts, seed=seed, unit=args.unit)

@@ -137,75 +137,94 @@ class WynerResult:
     converged: bool
 
 
-def _wyner_eval(q, pxy, h_xy):
+def _wyner_matrices(p, lam):
+    """The fixed matrices of one penalty stage on the table ``p`` (nx, ny).
+
+    Kernels are flattened to ``(..., nx * ny, card)``, cells in row-major
+    order.  ``marg`` is the ``(nx + ny + 1, nx * ny)`` incidence of each x,
+    each y and the whole table, weighted by P(x, y): ``marg @ q`` stacks
+    P(x, w), P(y, w) and P(w) of the kernels ``q``.  ``expand`` is the
+    transposed incidence with the gradient's signs, ``-lam`` on the x and
+    y rows and ``lam - 1`` on the w row, and ``scale`` is the column
+    ``lam + 1``; both are zero on cells off the support.  None of them
+    grows with ``card``.
+    """
+    nx, ny = p.shape
+    cells = p.reshape(-1, 1)
+    inc = np.vstack([np.repeat(np.eye(nx), ny, axis=1),
+                     np.tile(np.eye(ny), nx), np.ones((1, nx * ny))])
+    on = cells > 0.0
+    signs = np.append(np.full(nx + ny, -lam), lam - 1.0)
+    return inc * cells.T, inc.T * signs * on, (lam + 1.0) * on
+
+
+def _wyner_eval(q, marg, h_xy):
     """Objective parts (nats) of a stack of kernels, from its marginal sums.
 
-    ``q`` holds kernels P(w | x, y) shaped ``(..., nx, ny, card)``, ``pxy``
-    is P(x, y) shaped ``(nx, ny, 1)`` and ``h_xy`` is the sum of
-    ``P(x, y) log P(x, y)`` over the support.  The kernel is floored at
-    ``KERNEL_FLOOR`` and every positive cell is at least ``MIN_WYNER_CELL``
-    (`wyner_solve` checks it), so every product here is a normal float,
-    every log is finite and a cell off the support adds nothing to either
-    sum.  Returns (I(W;XY), I(X;Y|W), logs), the two values shaped like the
-    leading axes of ``q``; ``logs`` holds log q and the logs of P(w),
-    P(x, w) and P(y, w), for `_wyner_grad`.
+    ``q`` holds flattened kernels P(w | x, y) shaped ``(..., nx * ny,
+    card)``, ``marg`` is the weighted incidence of `_wyner_matrices` and
+    ``h_xy`` is the sum of ``P(x, y) log P(x, y)`` over the support.  One
+    product by ``marg`` gives P(x, w), P(y, w) and P(w) of every start, and
+    one log covers them all.  The kernel is floored at ``KERNEL_FLOOR`` and
+    every positive cell is at least ``MIN_WYNER_CELL`` (`wyner_solve`
+    checks it), so every product here is a normal float, every log is
+    finite and a cell off the support adds nothing to either sum.  Returns
+    (I(W;XY), I(X;Y|W), logs), the two values shaped like the leading axes
+    of ``q``; ``logs`` holds log q and the logs of the stacked marginals,
+    for `_wyner_grad`.
     """
-    pj = pxy * q
-    pxw = pj.sum(axis=-2)
-    pyw = pj.sum(axis=-3)
-    pw = pxw.sum(axis=-2)
-    logs = lnq, ln_pw, ln_pxw, ln_pyw = (
-        np.log(q), np.log(pw), np.log(pxw), np.log(pyw))
-    s_q = np.multiply(pj, lnq, out=pj).sum(axis=(-3, -2, -1))
-    s_w = (pw * ln_pw).sum(axis=-1)
+    lnq = np.log(q)
+    m = marg @ q
+    ln_m = np.log(m)
+    s_q = np.vecdot(np.vecdot(q, lnq), marg[-1])
+    s_m = np.vecdot(m, ln_m)
+    s_w = s_m[..., -1]
     value = s_q - s_w
-    resid = (h_xy + s_q + s_w - (pxw * ln_pxw).sum(axis=(-2, -1))
-             - (pyw * ln_pyw).sum(axis=(-2, -1)))
-    return value, resid, logs
+    resid = h_xy + s_q + s_w - np.add.reduce(s_m[..., :-1], axis=-1)
+    return value, resid, (lnq, ln_m)
 
 
-def _wyner_grad(logs, support, lam):
+def _wyner_grad(logs, expand, scale):
     """Row-scaled gradient of I(W;XY) + lam * I(X;Y|W) from `_wyner_eval` logs.
 
-    The gradient is that of the objective as `_wyner_eval` computes it,
-    with ``h_xy`` held fixed; on stochastic kernels it differs from the
-    gradient of the full expression by a constant per row, which the
-    row-normalized update ignores.  ``support`` is the 0/1 indicator of
-    P(x, y) > 0 shaped ``(nx, ny, 1)``: rows of zero-probability cells get a
-    zero gradient since their kernel entries are irrelevant.
+    ``expand`` and ``scale`` come from `_wyner_matrices` at the stage's
+    weight lam: one product spreads the logs of P(x, w), P(y, w) and P(w)
+    back over the cells, and ``(lam + 1) log q`` is added.  The gradient is
+    that of the objective as `_wyner_eval` computes it, with ``h_xy`` held
+    fixed; on stochastic kernels it differs from the gradient of the full
+    expression by a constant per row, which the row-normalized update
+    ignores.  Rows of zero-probability cells get a zero gradient since their
+    kernel entries are irrelevant.
     """
-    lnq, ln_pw, ln_pxw, ln_pyw = logs
-    ln_pw = ln_pw[..., None, None, :]
-    g = lnq + ln_pw
-    g -= ln_pxw[..., :, None, :]
-    g -= ln_pyw[..., None, :, :]
-    g *= lam
-    g += lnq - ln_pw
-    g *= support
+    lnq, ln_m = logs
+    g = expand @ ln_m
+    g += scale * lnq
     return g
 
 
 def _renormalize(q):
     q = np.maximum(q, KERNEL_FLOOR)
-    q /= q.sum(axis=-1, keepdims=True)
+    q /= np.add.reduce(q, axis=-1, keepdims=True)
     return q
 
 
-def _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
-                 step_tol=1e-10):
+def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
     """Exponentiated-gradient descent at one fixed penalty weight.
 
-    ``q`` is a stack ``(starts, nx, ny, card)`` of kernels that advance in
-    lockstep: each round makes one trial step per live start, and one
-    `_wyner_eval` call evaluates all of them.  Steps are accepted only when
-    the objective does not increase, with the step size halved on
-    rejection, so each start is a descent run.  A start ends when its kernel
-    stalls in sup norm, its objective stops improving for a few consecutive
-    iterations, its step size or its 40 trials of one step run out, or
-    after ``max_iters`` accepted steps; it then leaves the later rounds.
-    Each start keeps its own step size and counts, so it takes the steps it
-    takes when run alone.  The gradient is built only at accepted points.
-    Returns the final stack and each start's number of accepted steps.
+    ``q`` is a stack ``(starts, nx * ny, card)`` of flattened kernels for
+    the table ``p`` that advance in lockstep: each round makes one trial
+    step per live start, and one `_wyner_eval` call evaluates all of them.
+    The matrices of `_wyner_matrices` are built once, and every product by
+    them is taken start by start, so a start's arithmetic does not depend
+    on the others.  Steps are accepted only when the objective does not
+    increase, with the step size halved on rejection, so each start is a
+    descent run.  A start ends when its kernel stalls in sup norm, its
+    objective stops improving for a few consecutive iterations, its step
+    size or its 40 trials of one step run out, or after ``max_iters``
+    accepted steps; it then leaves the later rounds.  Each start keeps its
+    own step size and counts, so it takes the steps it takes when run
+    alone.  The gradient is built only at accepted points.  Returns the
+    final stack and each start's number of accepted steps.
     """
     # ``q`` starts as ``out`` itself: until the first start ends, every row
     # is live and is written again when its start ends.
@@ -214,25 +233,29 @@ def _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
     steps = np.zeros(starts, dtype=int)
     if max_iters < 1:
         return out, steps
+    marg, expand, scale = _wyner_matrices(p, lam)
+    h_xy = float(rel_entr(p, 1.0).sum())
     live = list(range(starts))
-    value, resid, logs = _wyner_eval(q, pxy, h_xy)
+    value, resid, logs = _wyner_eval(q, marg, h_xy)
     f = (value + lam * resid).tolist()
     lnq = logs[0]
-    g = _wyner_grad(logs, support, lam)
+    g = _wyner_grad(logs, expand, scale)
     eta, trials, stalled, iters = ([0.5] * starts, [0] * starts,
                                    [0] * starts, [0] * starts)
     while live:
-        t = np.array(eta)[:, None, None, None] * g
+        t = np.array(eta)[:, None, None] * g
         np.subtract(lnq, t, out=t)
         t -= logsumexp(t)
         qn = _renormalize(np.exp(t, out=t))
-        value, resid, logs = _wyner_eval(qn, pxy, h_xy)
+        value, resid, logs = _wyner_eval(qn, marg, h_xy)
         f_new = (value + lam * resid).tolist()
         ok = [a <= b + 1e-12 for a, b in zip(f_new, f)]
         acc = [i for i, accepted in enumerate(ok) if accepted]
         if acc:
-            delta = qn - q
-            delta = np.abs(delta, out=delta).max(axis=(-3, -2, -1)).tolist()
+            np.abs(np.subtract(qn, q, out=t), out=t)
+            delta = np.maximum.reduce(t, axis=(-2, -1)).tolist()
+        # the trial buffer is done with: freed before a gradient is built
+        del t
         keep, ended = [], []
         for i, accepted in enumerate(ok):
             if accepted:
@@ -252,13 +275,13 @@ def _wyner_stage(q, pxy, h_xy, support, lam, max_iters,
             (ended if stop else keep).append(i)
         if len(acc) == len(live):
             q, lnq = qn, logs[0]
-            g = _wyner_grad(logs, support, lam)
+            g = _wyner_grad(logs, expand, scale)
         elif acc:
-            mask = np.array(ok)[:, None, None, None]
+            mask = np.array(ok)[:, None, None]
             np.copyto(q, qn, where=mask)
             np.copyto(lnq, logs[0], where=mask)
             g[acc] = _wyner_grad(tuple(a.take(acc, axis=0) for a in logs),
-                                 support, lam)
+                                 expand, scale)
         if ended:
             out[[live[i] for i in ended]] = q[ended]
             steps[[live[i] for i in ended]] = [iters[i] for i in ended]
@@ -410,9 +433,6 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
         raise NumericalError(
             f"Wyner solver needs every positive cell at least "
             f"{MIN_WYNER_CELL:.3g}; the input has one of {low:.3g}")
-    pxy = j.p[:, :, None]
-    support = (pxy > 0.0).astype(float)
-    h_xy = float(rel_entr(pxy, 1.0).sum())
     rng = np.random.default_rng(seed)
     px, py = marginals(j)
     cap = min((entropy(px, "nats").value, "x"),
@@ -420,7 +440,8 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
 
     def run(idxs):
         q = _renormalize(np.stack(
-            [_start_kernel(kinds[i], nx, ny, card, rng) for i in idxs]))
+            [_start_kernel(kinds[i], nx, ny, card, rng) for i in idxs]
+        ).reshape(len(idxs), nx * ny, card))
         # Per-run generators for the stage-transition jitter below; keyed by
         # (seed, index) so runs stay reproducible individually.
         run_rngs = [np.random.default_rng((seed, i)) for i in idxs]
@@ -435,10 +456,10 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # leave the degenerate point; the stage re-converges anyway.
                 q = _jitter(q, run_rngs)
             tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q, steps = _wyner_stage(q, pxy, h_xy, support, lam, MAX_ITERS,
-                                    step_tol=tol)
+            q, steps = _wyner_stage(q, j.p, lam, MAX_ITERS, step_tol=tol)
             capped |= steps >= MAX_ITERS
-        kernels, values = _wyner_certify(q, j.p, width)
+        kernels, values = _wyner_certify(q.reshape(-1, nx, ny, card), j.p,
+                                         width)
         for k, value in enumerate(values.tolist()):
             kernel = (kernels[k].copy() if value <= cap[0]
                       else _start_kernel(cap[1], nx, ny, width, None))
@@ -446,7 +467,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
 
     ((value, (kernel, capped)),) = _multistart(
         [0] * len(kinds), nx * ny * width, run).values()
-    resid = conditional_mutual_information(pxy * kernel, unit)
+    resid = conditional_mutual_information(j.p[:, :, None] * kernel, unit)
     return WynerResult(
         value=info_from_nats(value, unit),
         card_w=card,

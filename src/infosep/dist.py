@@ -293,31 +293,40 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     like one matrix, row by row.  Each row is shifted by its maximum before
     exponentiating; a row that is all ``-inf`` gives ``-inf``.  Same values
     as SciPy's ``logsumexp(a, axis=-1, keepdims=True)`` without its
-    per-call dispatch cost, which dominates on the solvers' small matrices.
+    per-call dispatch cost, which dominates on the solvers' small matrices;
+    the reductions call the ufuncs directly for the same reason.
     """
-    m = a.max(axis=-1, keepdims=True)
-    if np.isfinite(m).all():  # every row has a finite entry: no fix-up
-        return np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    if np.logical_and.reduce(np.isfinite(m), axis=None):
+        # every row has a finite entry: no fix-up
+        return np.log(np.add.reduce(np.exp(a - m), axis=-1, keepdims=True)) + m
     m[~np.isfinite(m)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m
+        return np.log(np.add.reduce(np.exp(a - m), axis=-1,
+                                    keepdims=True)) + m
 
 
-def rel_entr(a, b) -> np.ndarray:
+def rel_entr(a: np.ndarray, b) -> np.ndarray:
     """Elementwise ``a * log(a / b)`` in nats, broadcasting ``a`` against ``b``.
 
     For nonnegative inputs: a term with ``a == 0`` is 0 and a term with
-    ``a > 0 == b`` is ``+inf``, as in SciPy's ``rel_entr``.  Unlike SciPy,
-    a ratio ``a / b`` that overflows (``b`` subnormal) gives ``+inf``,
-    silently.  SciPy is not imported: its import costs memory and start-up
-    time that nothing else here needs.
+    ``a > 0 == b`` is ``+inf``, as in SciPy's ``rel_entr``.  The ratio is
+    taken first, so every term is one divide, one log and one multiply.
+    Where ``a / b`` overflows (``b`` below the normal float range) the call
+    takes ``a * (log a - log b)`` instead, which stays finite; the float
+    error state tells that case apart at no cost to the others.  SciPy is
+    not imported: its import costs memory and start-up time that nothing
+    else here needs.
     """
-    a = np.asarray(a, dtype=float)
-    pos = a > 0.0
-    ratio = np.ones(np.broadcast_shapes(a.shape, np.shape(b)))
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(a, b, out=ratio, where=pos)
-        return a * np.log(ratio)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+            return np.where(a > 0.0, a * np.log(a / b), 0.0)
+    except FloatingPointError:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = a / b
+            terms = np.where(np.isinf(ratio) & (b > 0.0),
+                             a * (np.log(a) - np.log(b)), a * np.log(ratio))
+        return np.where(a > 0.0, terms, 0.0)
 
 
 def entropy(dist, unit: str = "bits") -> InfoValue:

@@ -83,60 +83,98 @@ class IbSolution:
     history: tuple
 
 
+def _ib_pairs(q, px, pxy, py):
+    """(I(U;X), I(U;Y)) in nats of each kernel of a stack ``(K, nx, card)``.
+
+    Both are averages under P(u) of KL(P(X|u) || P(X)) and
+    KL(P(Y|u) || P(Y)), so that no term divides by a P(u) or a product
+    P(u) P(y) that underflowed to zero.  Every operation acts on each
+    kernel alone, so a kernel's pair does not depend on the stack it is in.
+    Returns an array ``(K, 2)``.
+    """
+    pu = px @ q
+    puy = q.swapaxes(1, 2) @ pxy
+    on = pu[:, :, None] > 0.0
+    # P(Y|U=u) and P(X|U=u), the latter laid out like q; 0 for an unused u
+    pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy), where=on)
+    pxgu = np.divide(px[:, None] * q, pu[:, None, :], out=np.zeros_like(q),
+                     where=on.swapaxes(1, 2))
+    i_ux = (pu * rel_entr(pxgu, px[:, None]).sum(axis=1)).sum(axis=1)
+    i_uy = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
+    return np.stack([i_ux, i_uy], axis=1)
+
+
 def _ib_run(q, px, pygx, py, beta):
     """Self-consistent runs in lockstep; returns (q, converged, history, cycles).
 
     ``q`` stacks the initial kernels ``(runs, nx, card)`` and ``beta`` holds
-    each run's multiplier.  Each refresh cycle computes P(U) and P(U,Y) of
-    every running kernel once, records the (I(U;X), I(U;Y)) pairs in nats
-    from them, then updates the kernels.  A run stops once it has recorded
-    the kernel its convergence test accepted, or after ``MAX_ITERS`` cycles,
-    so it ends where it ends alone.  ``history[c]`` holds every run's pair
-    after ``c`` cycles, shaped ``(runs, 2)``, a stopped run repeating its
-    last one; ``cycles[r]`` counts run r's cycles, so its trace is
-    ``history[:cycles[r] + 1, r]`` and its last pair belongs to ``q[r]``.
+    each run's multiplier.  Each refresh cycle computes P(U) and P(Y|U) of
+    every running kernel once and updates the kernels; that is all the
+    loop does.  A run stops once its convergence test has accepted a
+    kernel, or after ``MAX_ITERS`` cycles, so it ends where it ends alone.
+
+    The (I(U;X), I(U;Y)) pairs in nats of every kernel a run holds are
+    recorded afterwards: the loop keeps the kernels, and `_ib_pairs`
+    evaluates them in one call when the runs stop or when the kept kernels
+    reach a batch sized so that they and that call's temporaries stay
+    within ``MAX_SOLVER_ENTRIES`` entries.  ``history[c]`` holds every
+    run's pair after ``c`` cycles, shaped ``(runs, 2)``, a stopped run
+    repeating its last one; ``cycles[r]`` counts run r's cycles, so its
+    trace is ``history[:cycles[r] + 1, r]`` and its last pair belongs to
+    ``q[r]``.
     """
     pxy = px[:, None] * pygx
-    # ``q`` starts as ``out`` itself; each update makes it a new array, so
-    # writing a stopped run's row into ``out`` never changes a running one
-    q = out = np.array(q, dtype=float)
-    live = np.arange(len(q))
+    # every run writes its row of ``out`` when it stops
+    q = np.asarray(q, dtype=float)
+    out = np.empty_like(q)
+    runs, nx, card = q.shape
+    live = np.arange(runs)
     # a stopped run's entries are final: whether its last update converged,
-    # and its number of refresh cycles
-    conv, cycles = np.zeros(len(q), dtype=bool), np.zeros(len(q), dtype=int)
-    pairs = np.zeros((len(q), 2))
-    history = []
-    for cycle in range(MAX_ITERS + 1):
-        pu = px @ q
-        puy = q.swapaxes(1, 2) @ pxy
-        # P(Y|U=u), left 0 for an unused u
-        pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy),
-                         where=pu[:, :, None] > 0.0)
-        # P(X|U=u), laid out like q and left 0 for an unused u
-        pxgu = np.divide(px[:, None] * q, pu[:, None, :], out=np.zeros_like(q),
-                         where=pu[:, None, :] > 0.0)
-        # I(U;X) and I(U;Y) as averages under P(u) of KL(P(X|u) || P(X)) and
-        # KL(P(Y|u) || P(Y)), so that no term divides by a P(u) or a product
-        # P(u) P(y) that underflowed to zero
-        pairs[live, 0] = (pu * rel_entr(pxgu, px[:, None]).sum(axis=1)).sum(
-            axis=1)
-        pairs[live, 1] = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
-        history.append(pairs.copy())
-        stop = conv[live] | (cycle == MAX_ITERS)
-        if stop.any():
-            out[live[stop]], cycles[live[stop]] = q[stop], cycle
-            if stop.all():
-                break
-            live, q, pu, pygu, beta = (
-                live[~stop], q[~stop], pu[~stop], pygu[~stop], beta[~stop])
-        # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
-        dist = rel_entr(pygx[:, None, :], pygu[:, None]).sum(axis=3)
-        with np.errstate(divide="ignore"):
-            lnq = np.log(pu)[:, None, :] - beta[:, None, None] * dist
-        qn = np.exp(lnq - logsumexp(lnq))
-        conv[live] = np.abs(qn - q).max(axis=(1, 2)) <= CONV_TOL
-        q = qn
-    return out, conv, np.array(history), cycles
+    # and its number of refresh cycles; ``settled`` holds the first for
+    # the live runs
+    conv, cycles = np.zeros(runs, dtype=bool), np.zeros(runs, dtype=int)
+    settled = np.zeros(runs, dtype=bool)
+    beta = np.asarray(beta, dtype=float)[:, None, None]
+    # kernels kept for `_ib_pairs`: one takes nx * card entries, and its
+    # evaluation's temporaries at most three times card * (nx + ny) more
+    batch = max(1, MAX_SOLVER_ENTRIES // (4 * card * (nx + pygx.shape[1])))
+    kept, held, pairs = [], 0, []
+    # log P(u) is -inf for an unused u
+    with np.errstate(divide="ignore"):
+        for cycle in range(MAX_ITERS + 1):
+            if held + len(live) > batch and kept:
+                pairs.append(_ib_pairs(np.concatenate(kept), px, pxy, py))
+                kept, held = [], 0
+            kept.append(q)
+            held += len(live)
+            stop = settled | (cycle == MAX_ITERS)
+            if stop.any():
+                ended = live[stop]
+                out[ended], conv[ended], cycles[ended] = (
+                    q[stop], settled[stop], cycle)
+                if stop.all():
+                    break
+                live, q, beta = live[~stop], q[~stop], beta[~stop]
+            pu = px @ q
+            puy = q.swapaxes(1, 2) @ pxy
+            # P(Y|U=u), left 0 for an unused u
+            pygu = np.divide(puy, pu[:, :, None], out=np.zeros(puy.shape),
+                             where=pu[:, :, None] > 0.0)
+            # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
+            dist = np.add.reduce(rel_entr(pygx[:, None, :], pygu[:, None]),
+                                 axis=3)
+            lnq = np.log(pu)[:, None, :] - beta * dist
+            qn = np.exp(lnq - logsumexp(lnq))
+            settled = np.maximum.reduce(np.abs(qn - q), axis=(1, 2)) <= CONV_TOL
+            q = qn
+    pairs.append(_ib_pairs(np.concatenate(kept), px, pxy, py))
+    # the kernels were kept cycle by cycle, the live runs of a cycle in
+    # order: exactly the cells (c, r) with c <= cycles[r], row-major
+    steps = np.arange(cycle + 1)[:, None]
+    history = np.empty((cycle + 1, runs, 2))
+    history[steps <= cycles] = np.concatenate(pairs)
+    history = history[np.minimum(steps, cycles), np.arange(runs)]
+    return out, conv, history, cycles
 
 
 def _ib_solve(j, betas, card_u, restarts, seed, unit):

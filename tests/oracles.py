@@ -5,10 +5,14 @@ answer another way, so agreement is evidence, not a tautology.
 `gk_spectral` is the one reference built on a package computation: it
 reads the unit modes of `modal_decompose`, so it is independent of the
 support-graph route of `gacs_korner` but not of the spectrum.
+`ib_run_per_cycle` is the other: it records the bottleneck's pairs inside
+the refresh loop, one cycle at a time, and is the reference for the order
+of operations of `infosep.ib._ib_run`, not for its arithmetic.
 """
 
 import numpy as np
 
+import infosep.ib
 from infosep._grouping import group_rows, label_components
 from infosep.common_info import GkResult
 from infosep.dist import (
@@ -18,7 +22,9 @@ from infosep.dist import (
     conditional_mutual_information,
     entropy,
     info_from_nats,
+    logsumexp,
     marginals,
+    rel_entr,
 )
 from infosep.errors import DimensionError, NumericalError
 from infosep.modal import ROW_GROUP_TOL, modal_decompose
@@ -211,3 +217,46 @@ def gk_spectral(j: JointDistribution, unit: str = "bits") -> GkResult:
         common_map_y=DeterministicMap(labels_y, n_classes),
         component_count=n_classes,
     )
+
+
+def ib_run_per_cycle(q, px, pygx, py, beta):
+    """`infosep.ib._ib_run` with the pairs recorded inside the loop.
+
+    Each refresh cycle computes P(U) and P(U,Y) of every running kernel
+    once, records the (I(U;X), I(U;Y)) pairs in nats from them, then
+    updates the kernels.  Same returns as `_ib_run`, with the package's
+    ``MAX_ITERS`` and ``CONV_TOL`` read at call time.
+    """
+    pxy = px[:, None] * pygx
+    q = out = np.array(q, dtype=float)
+    live = np.arange(len(q))
+    conv, cycles = np.zeros(len(q), dtype=bool), np.zeros(len(q), dtype=int)
+    pairs = np.zeros((len(q), 2))
+    history = []
+    max_iters = infosep.ib.MAX_ITERS
+    for cycle in range(max_iters + 1):
+        pu = px @ q
+        puy = q.swapaxes(1, 2) @ pxy
+        pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy),
+                         where=pu[:, :, None] > 0.0)
+        pxgu = np.divide(px[:, None] * q, pu[:, None, :], out=np.zeros_like(q),
+                         where=pu[:, None, :] > 0.0)
+        pairs[live, 0] = (pu * rel_entr(pxgu, px[:, None]).sum(axis=1)).sum(
+            axis=1)
+        pairs[live, 1] = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
+        history.append(pairs.copy())
+        stop = conv[live] | (cycle == max_iters)
+        if stop.any():
+            out[live[stop]], cycles[live[stop]] = q[stop], cycle
+            if stop.all():
+                break
+            live, q, pu, pygu, beta = (
+                live[~stop], q[~stop], pu[~stop], pygu[~stop], beta[~stop])
+        dist = rel_entr(pygx[:, None, :], pygu[:, None]).sum(axis=3)
+        with np.errstate(divide="ignore"):
+            lnq = np.log(pu)[:, None, :] - beta[:, None, None] * dist
+        qn = np.exp(lnq - logsumexp(lnq))
+        conv[live] = (np.abs(qn - q).max(axis=(1, 2))
+                      <= infosep.ib.CONV_TOL)
+        q = qn
+    return out, conv, np.array(history), cycles

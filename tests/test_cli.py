@@ -1,5 +1,6 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
+import hashlib
 import json
 import warnings
 
@@ -581,6 +582,26 @@ class TestIbSweep:
         assert code == EXIT_OK
         assert target.read_text().startswith("beta,")
 
+    def test_subnormal_marginal_rows_are_finite(self, capsys, tmp_path):
+        # P(x0) = P(y0) = 1e-310: density ratios beside the subnormal
+        # marginal overflow, yet I(U;X) = I(U;Y) = I(X;Y), about 1.03e-307
+        # bits, at every multiplier above 1
+        path = _write(tmp_path, "subnormal.json", [[1e-310, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["ib-sweep", path, "--beta-grid", "1.5,2,3,5"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and err == ""
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]
+                if not ln.startswith("#")]
+        assert len(rows) == 4
+        for beta, i_ux, i_uy, lagrangian, converged in rows:
+            assert float(i_ux) == pytest.approx(1.0298e-307, rel=1e-4)
+            assert float(i_uy) == float(i_ux)
+            assert float(lagrangian) == pytest.approx(
+                (1.0 - float(beta)) * float(i_ux), rel=1e-9)
+            assert converged == "true"
+
     def test_bad_grid(self, dsbs_file):
         assert main(["ib-sweep", dsbs_file,
                      "--beta-grid", "a,b"]) == EXIT_PARSE
@@ -607,3 +628,29 @@ def test_negative_seed(capsys, dsbs_file, monkeypatch):
     assert main(["ib-sweep", dsbs_file]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == "error: seed must be non-negative, got -1\n" * 2
+
+
+def test_only_reports_with_a_digest_hash_the_input(capsys, dsbs_file,
+                                                   monkeypatch, tmp_path):
+    # measures and verify report the sha256 of the input bytes; reduce and
+    # ib-sweep report no digest and do not hash
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counted(blob):
+        hashed.append(len(blob))
+        return sha256(blob)
+
+    monkeypatch.setattr(infosep.cli.hashlib, "sha256", counted)
+    want = sha256(open(dsbs_file, "rb").read()).hexdigest()
+    for argv in (["measures", dsbs_file, "--restarts", "0"],
+                 ["verify", dsbs_file, "--restarts", "0"]):
+        hashed.clear()
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert hashed and doc["input"]["sha256"] == want
+    for argv in (["reduce", dsbs_file],
+                 ["ib-sweep", dsbs_file, "--beta-grid", "2"]):
+        hashed.clear()
+        assert main(argv) == EXIT_OK
+        assert hashed == []

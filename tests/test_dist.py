@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -330,13 +331,44 @@ class TestRelEntr:
         assert got[1] == 0.0 and got[2] == 0.0
         np.testing.assert_array_equal(got, scipy_rel_entr(a, b))
 
-    def test_tiny_denominator_overflows_silently(self):
-        # scipy keeps these finite (about 737 and 372 nats); here the ratio
-        # overflows to +inf, which every caller already handles for b == 0
+    def test_tiny_denominator_stays_finite(self):
+        # the ratios 1e320 and 1e323 overflow; the terms are about 737 and
+        # 372 nats, as in scipy, and no warning is raised
+        a, b = np.array([1.0, 0.5]), np.array([1e-320, 5e-324])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = rel_entr(np.array([1.0, 0.5]), np.array([1e-320, 5e-324]))
-        assert np.all(got == np.inf)
+            got = rel_entr(a, b)
+        np.testing.assert_allclose(got, scipy_rel_entr(a, b), rtol=1e-14)
+
+    def test_matches_mpmath_reference(self):
+        # a and b span the float range, subnormals and zeros included, so
+        # that ratios overflow, underflow to subnormals or divide by zero
+        rng = np.random.default_rng(7)
+        exps = np.hstack([rng.uniform(0, 323, size=(2, 400)),
+                          [rng.uniform(0, 10, 200), rng.uniform(300, 323, 200)]])
+        mags = 10.0 ** -exps * rng.uniform(0.5, 1.0, size=exps.shape)
+        mags[rng.random(exps.shape) < 0.1] = 0.0
+        a, b = mags
+        with np.errstate(all="ignore"):
+            assert np.sum(np.isinf(a / b) & (b > 0.0)) >= 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rel_entr(a, b)
+        mpmath.mp.prec = 200
+        for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
+            if ai == 0.0:
+                assert gi == 0.0
+            elif bi == 0.0:
+                assert gi == math.inf
+            else:
+                want = float(mpmath.mpf(ai) * mpmath.log(mpmath.mpf(ai) / bi))
+                assert gi == pytest.approx(want, rel=1e-12, abs=1e-300), (ai, bi)
+
+    def test_zero_free_path_is_the_plain_formula(self):
+        # positive inputs whose ratios stay finite: a * log(a / b), bit for bit
+        rng = np.random.default_rng(8)
+        a, b = rng.random((2, 5, 6)) + 1e-3
+        np.testing.assert_array_equal(rel_entr(a, b), a * np.log(a / b))
 
 
 class TestMutualInformation:
@@ -361,6 +393,18 @@ class TestMutualInformation:
         mi = mutual_information(j).value
         assert mi == pytest.approx(5.647277761308517e-168, rel=1e-12)
         assert mi == pytest.approx(entropy(marginals(j)[0]).value, rel=1e-12)
+
+    def test_subnormal_marginal(self):
+        # P(x0) = P(y0) = 1e-310: the density ratio 1/1e-310 overflows, yet
+        # the value is H(X) = 1e-310 * log2(1e310) + a rounding-level term
+        p = [[1e-310, 0.0], [0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mi = mutual_information(validate_and_trim(p)).value
+        mpmath.mp.prec = 200
+        want = float(mpmath.mpf(1e-310) * mpmath.log(1 / mpmath.mpf(1e-310), 2))
+        assert mi == pytest.approx(want, rel=1e-12)
+        assert mi == pytest.approx(1.03e-307, rel=1e-3)
 
     @given(st.integers(0, 10_000))
     def test_bounded_by_min_entropy(self, seed):

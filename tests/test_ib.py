@@ -7,11 +7,19 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import infosep.ib
-from infosep.dist import JointDistribution, mutual_information, validate_and_trim
+from infosep.dist import (
+    MAX_SOLVER_ENTRIES,
+    JointDistribution,
+    conditional_kernel,
+    marginals,
+    mutual_information,
+    validate_and_trim,
+)
 from infosep.errors import DimensionError, InvalidDistribution
 from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
+from oracles import ib_run_per_cycle
 
 MI_DSBS01 = 0.5310044064107188
 
@@ -239,6 +247,98 @@ class TestIbBatch:
                 tracemalloc.stop()
 
         assert peak(10) <= 1.5 * peak(0)
+
+
+HISTORY_TABLES = {
+    "dsbs": dsbs(0.1),
+    "random3x3": random_joint(3, 3, seed=0),
+    "random4x3": random_joint(4, 3, seed=2),
+    "dsbs8x8": random_refinement(dsbs(0.1), 8, 8, seed=3)[0],
+    # P(u) and P(u) P(y) underflow to zero on some kernels
+    "underflow": validate_and_trim([[1.0, 3.54e-146], [8.94e-130, 0.0]]),
+}
+
+
+class TestIbHistory:
+    """The pairs `_ib_run` records in batches after its loop are the ones
+    the per-cycle reference records inside it, bit for bit."""
+
+    BETAS = (1.5, 2.0, 5.0, 20.0)
+
+    @staticmethod
+    def counted_pairs(monkeypatch):
+        sizes = []
+        pairs = infosep.ib._ib_pairs
+
+        def counted(q, *args):
+            sizes.append(len(q))
+            return pairs(q, *args)
+
+        monkeypatch.setattr(infosep.ib, "_ib_pairs", counted)
+        return sizes
+
+    @pytest.mark.parametrize("flush", ["at_end", "every_cycle", "mid_run"])
+    @pytest.mark.parametrize("restarts", [0, 10])
+    @pytest.mark.parametrize("table", sorted(HISTORY_TABLES))
+    def test_batched_history_is_the_per_cycle_one(self, table, restarts,
+                                                  flush, monkeypatch):
+        j = HISTORY_TABLES[table]
+        px, py = marginals(j)
+        pygx = conditional_kernel(j).k
+        card = j.nx + 1
+        # the starts and multipliers of `_ib_solve` over BETAS
+        copy = np.arange(card) == np.minimum(np.arange(j.nx), card - 1)[:, None]
+        inits = [copy * 1.0, *np.random.default_rng(0).dirichlet(
+            np.ones(card), size=(restarts, j.nx))]
+        stack = np.stack([q for _ in self.BETAS for q in inits])
+        beta = np.repeat(self.BETAS, len(inits))
+        # one kept kernel with its temporaries takes this many entries
+        per_kernel = 4 * card * (j.nx + j.ny)
+        if flush == "every_cycle":
+            monkeypatch.setattr(infosep.ib, "MAX_SOLVER_ENTRIES", per_kernel)
+        elif flush == "mid_run":
+            monkeypatch.setattr(infosep.ib, "MAX_SOLVER_ENTRIES",
+                                per_kernel * 2 * len(stack))
+        sizes = self.counted_pairs(monkeypatch)
+        got = infosep.ib._ib_run(stack, px, pygx, py, beta)
+        want = ib_run_per_cycle(stack, px, pygx, py, beta)
+        for name, a, b in zip(("q", "converged", "history", "cycles"),
+                              got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        cycles = len(want[2])
+        assert sum(sizes) == int((want[3] + 1).sum())
+        if flush == "every_cycle":
+            assert len(sizes) == cycles
+        elif flush == "mid_run":
+            assert 1 < len(sizes) < cycles
+        else:
+            assert len(sizes) == 1
+
+    def test_kept_kernels_stay_within_the_budget(self, monkeypatch):
+        # 48 x 911 kernels: 11 of them and their temporaries fit in
+        # MAX_SOLVER_ENTRIES, so 13 cycles of one run flush once mid-run.
+        # A batch is sized at four entries per kept entry, so the kept
+        # kernels and their evaluation add at most a quarter of the budget's
+        # bytes to the peak (about 4 MiB of 8 here)
+        j = random_joint(48, 48, seed=0)
+        sizes = self.counted_pairs(monkeypatch)
+
+        def peak(max_iters):
+            monkeypatch.setattr(infosep.ib, "MAX_ITERS", max_iters)
+            tracemalloc.start()
+            try:
+                ib_fixed_point(j, 2.0, card_u=911, restarts=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(1)
+        sizes.clear()
+        long = peak(12)
+        assert sizes == [11, 2]
+        assert 4 * 11 * 911 * (48 + 48) <= MAX_SOLVER_ENTRIES
+        assert long <= short + 8 * MAX_SOLVER_ENTRIES // 4
 
 
 class TestCurve:

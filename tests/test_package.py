@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import pkgutil
 import types
@@ -77,9 +78,9 @@ def test_no_unused_imports():
     assert not found
 
 
-def load_count_lines():
-    path = pathlib.Path(__file__).parent.parent / "tools" / "count_lines.py"
-    spec = importlib.util.spec_from_file_location("count_lines", path)
+def load_tool(name):
+    path = pathlib.Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -90,4 +91,57 @@ def test_count_lines_leaves_out_blanks_comments_and_docstrings():
               'class A:\n    """One line."""\n\n    def f(self):\n'
               '        """Two\n        lines."""\n        return (X,\n'
               '                """not a docstring""")\n')
-    assert load_count_lines().count(source) == (16, 5)
+    assert load_tool("count_lines").count(source) == (16, 5)
+
+
+STUB_RUN = """import json, os, sys
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.environ["BENCH_ORDER_LOG"], "a") as fh:
+    fh.write(os.path.basename(root) + "\\n")
+with open(os.path.join(root, "stub.json")) as fh:
+    stub = json.load(fh)
+print("human-readable lines first")
+print(json.dumps({"correct": stub["correct"], "attempted": 10,
+                  "failed": stub["failed"],
+                  "metrics": {"pass_s": {"value": stub["pass_s"], "unit": "s"}}}))
+"""
+
+
+def make_checkout(root, pass_s, correct=True, failed=0):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    (root / "stub.json").write_text(json.dumps(
+        {"pass_s": pass_s, "correct": correct, "failed": failed}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return str(root)
+
+
+def test_bench_pairs_alternates_and_summarizes(tmp_path, monkeypatch, capsys):
+    order = tmp_path / "order.log"
+    monkeypatch.setenv("BENCH_ORDER_LOG", str(order))
+    parent = make_checkout(tmp_path / "parent", 2.0)
+    change = make_checkout(tmp_path / "change", 1.0)
+    tool = load_tool("bench_pairs")
+    assert tool.main([parent, change, "--workload", "w", "--pairs", "4",
+                      "--seed", "3"]) == 0
+    assert order.read_text().split() == ["parent", "change", "change",
+                                         "parent"] * 2
+    out = capsys.readouterr().out
+    assert "pass_s       parent 2 [2, 2]  change 1 [1, 1]  x0.500  " \
+           "change wins 4/4" in out
+    assert "incorrect runs: parent 0, change 0" in out
+    # the tool itself writes nothing into a checkout
+    assert sorted(p.name for p in (tmp_path / "change").rglob("*")) == [
+        "BENCHMARK.json", "perfbench", "run.py", "stub.json"]
+
+
+def test_bench_pairs_fails_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BENCH_ORDER_LOG", str(tmp_path / "order.log"))
+    parent = make_checkout(tmp_path / "parent", 2.0)
+    change = make_checkout(tmp_path / "change", 1.0, correct=False, failed=1)
+    tool = load_tool("bench_pairs")
+    assert tool.main([parent, change, "--workload", "w", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "failed calls: parent 0, change 2; incorrect runs: parent 0, " \
+           "change 2" in out

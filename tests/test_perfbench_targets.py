@@ -51,7 +51,9 @@ def test_wyner_solve_calls_the_traced_functions(monkeypatch):
     # both copy starts run in one stack: one stage call per penalty weight
     assert calls["_wyner_stage"] == len(infosep.common_info.PENALTY_SCHEDULE)
     assert calls["_wyner_eval"] > calls["_wyner_stage"]
-    assert calls["logsumexp"] > 0
+    # a stage evaluates its starting stack once, then each descent round
+    # makes one `logsumexp` and one `_wyner_eval` call
+    assert calls["logsumexp"] == calls["_wyner_eval"] - calls["_wyner_stage"]
 
 
 def test_bottleneck_runs_report_their_lockstep_cycles(monkeypatch, tmp_path):
