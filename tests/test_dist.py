@@ -3,7 +3,6 @@
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -354,6 +353,7 @@ class TestRelEntr:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = rel_entr(a, b)
+        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.prec = 200
         for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
             if ai == 0.0:
@@ -401,6 +401,7 @@ class TestMutualInformation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             mi = mutual_information(validate_and_trim(p)).value
+        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.prec = 200
         want = float(mpmath.mpf(1e-310) * mpmath.log(1 / mpmath.mpf(1e-310), 2))
         assert mi == pytest.approx(want, rel=1e-12)

@@ -3,10 +3,11 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload measures-redundant \\
-        --pairs 10 --seed 1 [--seconds 56]
+        --pairs 10 --seed 1
 
 PARENT and CHANGE are the roots of two checkouts.  Each pair runs
-``perfbench/run.py --trace 0`` once in each checkout, one run at a time;
+``perfbench/run.py --trace 0`` once in each checkout, one run at a time,
+each as long as the benchmark's ``run_seconds``;
 even pairs start with PARENT and odd pairs with CHANGE, so that both sides
 see the same mix of fast and slow periods of a shared machine.  For every
 end-to-end metric of the parent's ``BENCHMARK.json`` it prints the median
@@ -32,8 +33,6 @@ def run_once(root: str, args) -> dict | None:
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"),
             "--workload", args.workload, "--seed", str(args.seed),
             "--trace", "0"]
-    if args.seconds is not None:
-        argv += ["--seconds", str(args.seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=root, env=env, capture_output=True,
                           text=True)
@@ -60,8 +59,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: the benchmark's own)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
