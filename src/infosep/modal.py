@@ -40,7 +40,8 @@ UNIT_SLACK = 1e-9
 #: density-ratio rows closer than this in sup norm, with equal zero patterns
 #: and all entries finite, describe the same symbol
 ROW_GROUP_TOL = 1e-10
-#: sufficiency verdict tolerance on the density-ratio gap
+#: sufficiency verdict tolerance on the density-ratio gap; a larger gap within
+#: rounding of a huge ratio does not count (see `check_sufficiency`)
 SUFFICIENCY_TOL = 1e-9
 
 
@@ -158,16 +159,23 @@ def check_sufficiency(j: JointDistribution, s: DeterministicMap,
     The criterion is equality of density ratios: the pair is sufficient iff
     P(x,y) / (P_X P_Y) equals the reduced ratio at (s(x), t(y)) for every
     cell, within ``SUFFICIENCY_TOL``; equal entries, matching infinities
-    included, count as no gap.  The table is aggregated once, by
-    `pushforward`, which raises `DimensionError` for maps that do not cover
-    the joint's alphabets; the aggregate is returned as ``reduced``.
+    included, count as no gap.  So does a difference of at most ``16 * eps``
+    times the smaller of the two ratios: that is rounding of quotients of
+    rounded sums, which exceeds the absolute tolerance only once ratios
+    pass about 2.8e5.  The table is aggregated once, by `pushforward`,
+    which raises `DimensionError` for maps that do not cover the joint's
+    alphabets; the aggregate is returned as ``reduced``.
     """
     red = pushforward(j, s, t)
     ratio = _density_ratio(j)
     ratio_red = _density_ratio(red)[np.ix_(s.assignment, t.assignment)]
     diff = np.subtract(ratio, ratio_red, out=np.zeros_like(ratio),
                        where=ratio != ratio_red)
-    gap = float(np.max(np.abs(diff)))
+    np.abs(diff, out=diff)
+    big = np.nonzero(diff > SUFFICIENCY_TOL)
+    rounding = 16.0 * np.finfo(float).eps * np.minimum(ratio[big], ratio_red[big])
+    diff[big] = np.where(diff[big] > rounding, diff[big], 0.0)
+    gap = float(np.max(diff))
     return SufficiencyVerdict(sufficient=gap <= SUFFICIENCY_TOL,
                               max_ratio_gap=gap, reduced=red)
 

@@ -2,15 +2,19 @@
 
 Nothing here calls a solver of the package: each reference computes its
 answer another way, so agreement is evidence, not a tautology.
-`gk_spectral` is the one reference built on a package computation: it
+`gk_spectral` is built on a package computation: it
 reads the unit modes of `modal_decompose`, so it is independent of the
 support-graph route of `gacs_korner` but not of the spectrum.
-`ib_run_per_cycle` is the other: it records the bottleneck's pairs inside
+`ib_run_per_cycle` is another: it records the bottleneck's pairs inside
 the refresh loop, one cycle at a time, and is the reference for the order
 of operations of `infosep.ib._ib_run`, not for its arithmetic.
+`label_components_scipy` is SciPy's component labeler, which the package
+itself does not import.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import infosep.ib
 from infosep._grouping import group_rows, label_components
@@ -150,6 +154,21 @@ def group_rows_all_pairs(rows, tol: float) -> np.ndarray:
     first = {}
     return np.array([first.setdefault(find(a), len(first)) for a in range(n)],
                     dtype=np.int64)
+
+
+def label_components_scipy(n: int, i, k) -> np.ndarray:
+    """SciPy reference for `infosep._grouping.label_components`.
+
+    Labels the components of the undirected graph on ``range(n)`` with
+    edges ``(i[e], k[e])`` by `scipy.sparse.csgraph.connected_components`,
+    then renumbers them in order of their first vertex.
+    """
+    graph = coo_matrix((np.ones(len(i)), (i, k)), shape=(n, n))
+    comp = connected_components(graph, directed=False)[1]
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[comp]
 
 
 def minimal_maps_by_profiles(j: JointDistribution):

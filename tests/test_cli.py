@@ -9,6 +9,7 @@ import pytest
 
 import infosep.cli
 import infosep.common_info
+import infosep.harness
 from infosep.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from infosep.common_info import gacs_korner, wyner_solve
 from infosep.dist import DeterministicMap, mutual_information
@@ -443,6 +444,15 @@ class TestReduce:
         assert capsys.readouterr().err == ""
         assert doc["maps"] == {"s": [0, 1], "t": [0, 1]}
 
+    def test_huge_ratio_strict(self, capsys, tmp_path):
+        # y1 and y2 are identical columns; their ratio at x0, about 1e10 /
+        # 1e-300, differs between the raw and the reduced table by rounding
+        path = _write(tmp_path, "huge.json",
+                      [[1e-300, 1e-310, 1e-310], [1.0, 0.0, 0.0]])
+        code, doc = run_json(capsys, ["reduce", path, "--strict"])
+        assert code == EXIT_OK
+        assert doc["maps"] == {"s": [0, 1], "t": [0, 1, 1]}
+
 
 class TestVerify:
     def test_zero_pattern_table_verifies(self, capsys, tmp_path):
@@ -486,6 +496,22 @@ class TestVerify:
         code = main(["verify", str(path), "--maps", str(maps), "--strict"])
         capsys.readouterr()
         assert code == EXIT_VERIFY
+
+    def test_insufficient_maps_fail_when_every_row_passes(self, capsys,
+                                                           tmp_path):
+        # the README's exit code 4 covers maps that are not sufficient, even
+        # where no measure moves by more than its tolerance
+        path = _write(tmp_path, "near.json",
+                      [[0.2, 0.1, 0.1000001], [0.1, 0.2, 0.1999999]])
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps({"s": [0, 1], "t": [0, 1, 1]}))
+        code, doc = run_json(capsys, ["verify", path, "--maps", str(maps),
+                                      "--restarts", "0"])
+        assert code == EXIT_VERIFY
+        rep = doc["report"]
+        assert all(row["pass"] for row in rep["rows"])
+        assert rep["sufficient"] is False and rep["overall"] is False
+        assert rep["sufficiency_gap"] == pytest.approx(3.75e-7, rel=1e-3)
 
     def test_product_any_maps_pass(self, capsys, tmp_path):
         path = tmp_path / "prod.json"
@@ -536,9 +562,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: Wyner solver") and err.count("\n") == 1
 
-    def test_bad_maps_file(self, capsys, dsbs_file, tmp_path):
+    def test_bad_maps_file(self, capsys, monkeypatch, dsbs_file, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        # every case fails before a solver starts
+        monkeypatch.setattr(infosep.harness, "wyner_solve", refuse)
+        monkeypatch.setattr(infosep.harness, "ib_curve", refuse)
         maps = tmp_path / "maps.json"
         for doc in ({"s": [0, 0, 0]},  # wrong length, no t
+                    {"s": [0, 0, 0], "t": [0, 1]},  # well formed, wrong length
                     {"s": [0, 1.5], "t": [0, 1]},  # not integral
                     {"s": ["0", "1"], "t": [0, 1]},  # not numbers
                     {"s": [True, False], "t": [0, 1]},  # booleans

@@ -1,4 +1,5 @@
-"""Symbol grouping: closeness under chaining and first-occurrence labels."""
+"""Symbol grouping: components, closeness under chaining and first-occurrence
+labels."""
 
 import tracemalloc
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from infosep._grouping import group_rows
-from oracles import group_rows_all_pairs
+from infosep._grouping import group_rows, label_components
+from oracles import group_rows_all_pairs, label_components_scipy
 
 #: cell values in quarters, so gaps of exactly `tol` are exact in floats
 QUARTERS = st.integers(-8, 8).map(lambda v: v / 4)
@@ -109,7 +110,8 @@ def test_edge_collapse_keeps_labels():
 def test_memory_stays_bounded_in_the_pairwise_fallback():
     # column 0 is a chain 0, 1, ..., 20 under tol 1, so no sorted gap splits
     # the set and its 3,000 rows at 0 are compared pair by pair: about 2.2M
-    # close pairs, which only the spanning-forest guard keeps out of memory;
+    # close pairs, which are merged into the root array row by row and never
+    # stored together;
     # column 1 keeps the two halves of those rows apart
     coinciding = np.tile([[0.0, 0.0], [0.0, 1.5]], (1500, 1))
     chain = np.column_stack([np.arange(1.0, 21.0), np.zeros(20)])
@@ -122,3 +124,72 @@ def test_memory_stays_bounded_in_the_pairwise_fallback():
         tracemalloc.stop()
     assert labels.tolist() == [0, 1] * 1500 + [0] * 20
     assert peak < 32 * 2**20
+
+
+def bipartite_edges(p):
+    """Support-graph edges of a table, x symbols first, as in `gacs_korner`."""
+    xs, ys = np.nonzero(np.asarray(p) > 0.0)
+    return len(p) + len(p[0]), xs, len(p) + ys
+
+
+def random_sparse(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return n, rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+
+
+def path(order):
+    """A path through the vertices in the given order."""
+    return order.size, order[:-1], order[1:]
+
+
+PATH = np.arange(100_000)
+
+GRAPHS = {
+    "no vertices": (0, [], []),
+    "no edges": (5, [], []),
+    "self-loops": (4, [0, 2, 3], [0, 2, 3]),
+    "duplicate edges": (5, [3, 1, 3, 4, 1], [1, 3, 1, 4, 3]),
+    "star from the last vertex": (6, [5, 5, 5, 5], [0, 1, 2, 3]),
+    "star from the middle": (7, [3, 3, 3, 3, 3], [6, 0, 5, 1, 2]),
+    "dense 400x400": bipartite_edges(np.ones((400, 400))),
+    "4-block 400x400": bipartite_edges(
+        np.kron(np.eye(4), np.ones((100, 100)))),
+    "sparse, few edges": random_sparse(500, 200, 0),
+    "sparse, near the giant component": random_sparse(2000, 1000, 1),
+    "sparse, connected": random_sparse(300, 3000, 2),
+    "path forwards": path(PATH),
+    "path backwards": path(PATH[::-1]),
+    "path shuffled": path(np.random.default_rng(3).permutation(PATH)),
+}
+
+
+def assert_components_match_the_oracle(n, i, k):
+    i, k = np.asarray(i, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    labels = label_components(n, i, k)
+    assert labels.dtype == np.int64 and labels.shape == (n,)
+    np.testing.assert_array_equal(labels, label_components_scipy(n, i, k))
+
+
+@pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
+def test_components_equal_the_scipy_oracle(graph):
+    assert_components_match_the_oracle(*graph)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(0, 30))
+    ends = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n if n else 0))
+    return n, [e[0] for e in edges], [e[1] for e in edges]
+
+
+@settings(max_examples=200)
+@given(edge_lists())
+def test_random_components_equal_the_scipy_oracle(graph):
+    assert_components_match_the_oracle(*graph)
+
+
+def test_components_are_numbered_by_first_vertex():
+    # the edges name the components' later vertices first
+    labels = label_components(6, np.array([4, 5, 3]), np.array([1, 2, 0]))
+    assert labels.tolist() == [0, 1, 2, 0, 1, 2]

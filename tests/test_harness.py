@@ -11,6 +11,7 @@ from infosep.dist import (
     JointDistribution,
     conditional_mutual_information,
     mutual_information,
+    validate_and_trim,
 )
 from infosep.errors import InsufficientStatistic
 from infosep.harness import (
@@ -185,6 +186,20 @@ class TestVerifySeparability:
         assert row.measure == "mi"
         assert row.gap == pytest.approx(1.0, abs=1e-9)
         assert not row.passed
+
+    def test_insufficient_maps_fail_when_every_row_passes(self):
+        # merging y1 and y2, whose ratios differ by 3.75e-7, moves the
+        # measures only at second order: every row passes, the verdict not
+        j = validate_and_trim([[0.2, 0.1, 0.1000001], [0.1, 0.2, 0.1999999]])
+        rep = verify_separability(j, DeterministicMap([0, 1]),
+                                  DeterministicMap([0, 1, 1]),
+                                  measures=("mi", "f:chi2", "gk"), **CHEAP)
+        assert all(row.passed for row in rep.rows)
+        assert rep.rows[0].gap < 1e-12
+        assert not rep.sufficient
+        assert rep.sufficiency_gap == pytest.approx(3.75e-7, rel=1e-3)
+        assert not rep.overall
+        assert rep.to_dict()["overall"] is False
 
     def test_strict_mode_raises(self):
         j = JointDistribution(np.eye(2) / 2)

@@ -422,18 +422,40 @@ class TestDensityRatioIdentity:
         assert t.image_size == 4
 
     def test_wide_range_maps_pass_their_own_check(self):
-        # where every ratio is finite and below 1e100, the absolute 1e-9
-        # sufficiency tolerance is above rounding, so maps read from the
-        # ratios must pass the check that reads the same ratios
+        # where every ratio is finite, a gap within rounding of the ratio
+        # does not count, so maps read from the ratios must pass the check
+        # that reads the same ratios, up to ratios near 1e308
         checked = 0
         for j in probe_tables(3000):
-            r = _density_ratio(j)
-            if not (np.isfinite(r).all() and r.max() < 1e100):
+            if not np.isfinite(_density_ratio(j)).all():
                 continue
             checked += 1
             v = check_sufficiency(j, *minimal_sufficient_maps(j))
             assert v.sufficient, (j.p.tolist(), v.max_ratio_gap)
         assert checked > 1000
+
+    def test_rounding_of_a_huge_ratio_is_no_gap(self):
+        # columns y1 and y2 are identical; their ratio at x0, about 1e10 /
+        # 1e-300, comes out one ulp apart on the raw and the reduced table
+        j = validate_and_trim([[1e-300, 1e-310, 1e-310], [1.0, 0.0, 0.0]])
+        s, t = minimal_sufficient_maps(j)
+        assert t.assignment.tolist() == [0, 1, 1]
+        v = check_sufficiency(j, s, t)
+        assert v.sufficient and v.max_ratio_gap < 1e-15
+        reduce_joint(j, s, t, strict=True)
+
+    @pytest.mark.parametrize("p, t", [
+        # huge ratios, 5e299 and 3.3e299, merged into 4e299
+        ([[1e-300, 1e-310, 1e-310], [1.0, 1e-310, 2e-310]], [0, 1, 1]),
+        # an infinite raw ratio against a finite reduced one
+        ([[1e-310, 0.0], [0.0, 1.0]], [0, 0]),
+        # a positive raw ratio against a zero reduced one
+        ([[1e-300, 1e-300], [1.0, 0.0]], [0, 0])])
+    def test_real_gaps_of_huge_ratios_still_count(self, p, t):
+        j = validate_and_trim(p)
+        v = check_sufficiency(j, DeterministicMap.identity(j.nx),
+                              DeterministicMap(t))
+        assert not v.sufficient and v.max_ratio_gap > 1e200
 
     def test_conditional_profiles_are_the_oracle_on_normal_tables(self):
         for seed in range(150):

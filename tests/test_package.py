@@ -6,9 +6,15 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import infosep
 from infosep.dist import ConditionalKernel, DeterministicMap
@@ -76,6 +82,45 @@ def test_no_unused_imports():
              for d in dirs for path in sorted(d.glob("*.py"))
              if path.name != "__init__.py" and (names := unused_imports(path))}
     assert not found
+
+
+def third_party_imports(paths) -> set:
+    """Top-level modules the files import, leaving out stdlib and infosep."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"infosep"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared}
+    assert third_party_imports((root / "src" / "infosep").glob("*.py")) == names
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # None in sys.modules makes every import of scipy fail
+    path = tmp_path / "dsbs.json"
+    path.write_text(json.dumps({"p": [[0.45, 0.05], [0.05, 0.45]]}))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from infosep.cli import main\n"
+        f"assert main(['measures', {str(path)!r}, '--restarts', '0']) == 0\n"
+        f"assert main(['reduce', {str(path)!r}, '--strict']) == 0\n")
+    src = str(pathlib.Path(infosep.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def load_tool(name):
