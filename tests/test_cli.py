@@ -655,6 +655,15 @@ def test_negative_restarts(capsys, dsbs_file, command):
     assert err == "error: --restarts must be non-negative, got -3\n"
 
 
+def test_seed_from_the_environment_must_be_an_integer(capsys, dsbs_file,
+                                                    monkeypatch):
+    monkeypatch.setenv("INFOSEP_SEED", "abc")
+    assert main(["measures", dsbs_file]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: INFOSEP_SEED must be an integer, got 'abc'\n"
+
+
 def test_negative_seed(capsys, dsbs_file, monkeypatch):
     assert main(["measures", dsbs_file, "--seed", "-1"]) == EXIT_PARSE
     monkeypatch.setenv("INFOSEP_SEED", "-1")

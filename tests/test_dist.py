@@ -106,6 +106,13 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             j.p[0, 0] = 0.3
 
+    @pytest.mark.parametrize("build", [
+        JointDistribution, validate_and_trim, ConditionalKernel])
+    @pytest.mark.parametrize("arr", [np.full(2, 0.5), np.full((2, 2, 2), 0.125)])
+    def test_wrong_axis_count(self, build, arr):
+        with pytest.raises(InvalidDistribution):
+            build(arr)
+
     def test_labels_kept(self):
         j = JointDistribution(DSBS01, x_labels=("a", "b"), y_labels=(0, 1))
         assert j.x_labels == ("a", "b")
@@ -197,6 +204,10 @@ class TestMarginalsAndKernels:
         np.testing.assert_allclose(k.k[0], np.array([0.3, 0.15, 0.1]) / 0.55,
                                    atol=1e-15)
 
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError):
+            conditional_kernel(JointDistribution(DSBS01), "z|w")
+
     def test_kernel_row_sum_enforced(self):
         with pytest.raises(InvalidDistribution):
             ConditionalKernel(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -231,6 +242,10 @@ class TestDeterministicMap:
         with pytest.raises(InvalidMap, match="finite integers"):
             DeterministicMap(entries)
 
+    def test_two_dimensional_assignment_rejected(self):
+        with pytest.raises(InvalidMap):
+            DeterministicMap(np.zeros((2, 2), dtype=int))
+
     def test_integral_floats_accepted(self):
         m = DeterministicMap([1.0, 0.0, 1.0])
         assert m.assignment.tolist() == [1, 0, 1] and m.image_size == 2
@@ -261,6 +276,10 @@ class TestEntropy:
     def test_nats(self):
         h = entropy(np.array([0.5, 0.5]), unit="nats")
         assert h.value == pytest.approx(np.log(2.0), abs=1e-15)
+
+    def test_mass_off_by_too_much(self):
+        with pytest.raises(InvalidDistribution):
+            entropy([0.5, 0.6])
 
 
 class TestLogSumExp:
@@ -419,6 +438,13 @@ class TestMutualInformation:
 
 
 class TestConditionalMutualInformation:
+    @pytest.mark.parametrize("p", [np.full((2, 2), 0.25),
+                                   np.full((2, 2, 2), 0.25)])
+    def test_not_a_trivariate_pmf(self, p):
+        # two axes, or total mass 2
+        with pytest.raises(InvalidDistribution):
+            conditional_mutual_information(p)
+
     def test_common_cause_zero(self):
         # A = B = C uniform binary: the diagonal of a 2x2x2 cube
         p = np.zeros((2, 2, 2))

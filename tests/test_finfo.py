@@ -61,6 +61,10 @@ class TestGeneratorRegistry:
         with pytest.raises(InvalidGenerator):
             FGenerator("shifted", lambda u: u, value_at_zero=0.0)
 
+    def test_negative_limit_at_zero_rejected(self):
+        with pytest.raises(InvalidGenerator):
+            FGenerator("chi2-", lambda u: (u - 1.0) ** 2, value_at_zero=-1.0)
+
     def test_nonconvex_generator_warns(self):
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")

@@ -13,7 +13,7 @@ from infosep.dist import (
     mutual_information,
     validate_and_trim,
 )
-from infosep.errors import InsufficientStatistic
+from infosep.errors import DimensionError, InsufficientStatistic
 from infosep.harness import (
     DEFAULT_MEASURES,
     dsbs,
@@ -50,6 +50,12 @@ class TestGenerators:
         a = random_joint(2, 2, seed=7)
         b = random_joint(2, 2, seed=8)
         assert not np.array_equal(a.p, b.p)
+
+    def test_random_joint_rejects_bad_arguments(self):
+        with pytest.raises(DimensionError):
+            random_joint(0, 2)
+        with pytest.raises(ValueError):
+            random_joint(2, 2, alpha=0.0)
 
     def test_random_joint_always_valid(self):
         for seed in range(10):
@@ -149,6 +155,10 @@ def full_battery(dsbs01_refined):
 
 
 class TestVerifySeparability:
+    def test_unknown_measure(self, dsbs01_refined):
+        with pytest.raises(ValueError):
+            verify_separability(*dsbs01_refined, measures=["nope"])
+
     def test_refined_dsbs_full_battery(self, full_battery):
         rep = full_battery
         assert rep.overall
@@ -236,6 +246,14 @@ class TestVerifySeparability:
 
 
 class TestSimulateAndEstimate:
+    def test_rejects_bad_arguments(self, dsbs01_refined):
+        j, s, t = dsbs01_refined
+        with pytest.raises(DimensionError):
+            simulate_and_estimate(j, DeterministicMap.constant(j.nx + 1), t,
+                                  n=10)
+        with pytest.raises(ValueError):
+            simulate_and_estimate(j, s, t, n=0)
+
     def test_aggregation_identity(self, dsbs01_refined):
         j, s, t = dsbs01_refined
         sim = simulate_and_estimate(j, s, t, n=5000, seed=3)

@@ -342,6 +342,10 @@ class TestIbHistory:
 
 
 class TestCurve:
+    def test_empty_grid(self, dsbs01):
+        with pytest.raises(ValueError):
+            ib_curve(dsbs01, [])
+
     def test_envelope_monotone_and_concave(self, dsbs01):
         c = ib_curve(dsbs01, beta_grid=(1.1, 1.5, 2.0, 3.0, 5.0, 10.0))
         rs = np.array([p[0] for p in c.points])

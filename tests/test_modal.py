@@ -21,6 +21,7 @@ from infosep.errors import (
 from infosep.finfo import f_information
 from infosep.harness import random_joint, random_refinement
 from infosep.modal import (
+    ModalDecomposition,
     _density_ratio,
     check_sufficiency,
     minimal_sufficient_maps,
@@ -97,6 +98,15 @@ class TestCdkMatrix:
 
 
 class TestModalDecompose:
+    @pytest.mark.parametrize("field", ["sigmas", "F", "G"])
+    def test_shapes_must_agree(self, field):
+        md = modal_decompose(JointDistribution(DSBS01))
+        fields = dict(rank=md.rank, sigmas=md.sigmas, F=md.F, G=md.G,
+                      px=md.px, py=md.py)
+        fields[field] = np.zeros((3, 2))
+        with pytest.raises(DimensionError):
+            ModalDecomposition(**fields)
+
     def test_product_empty_spectrum(self):
         j = JointDistribution(np.outer([0.3, 0.7], [0.5, 0.5]))
         md = modal_decompose(j)
