@@ -97,10 +97,8 @@ def gacs_korner(j: JointDistribution, unit: str = "bits") -> GkResult:
     labels_y = labels[j.nx:]
     n_classes = int(labels.max()) + 1
     px, _ = marginals(j)
-    masses = np.zeros(n_classes)
-    np.add.at(masses, labels_x, px)
     return GkResult(
-        value=entropy(masses, unit),
+        value=entropy(np.bincount(labels_x, px, n_classes), unit),
         k=n_classes - 1,
         common_map_x=DeterministicMap(labels_x, n_classes),
         common_map_y=DeterministicMap(labels_y, n_classes),
@@ -231,8 +229,6 @@ def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
     q = out = np.array(q, dtype=float)
     starts = len(q)
     steps = np.zeros(starts, dtype=int)
-    if max_iters < 1:
-        return out, steps
     marg, expand, scale = _wyner_matrices(p, lam)
     h_xy = float(rel_entr(p, 1.0).sum())
     live = list(range(starts))

@@ -108,7 +108,9 @@ def info_from_nats(nats: float, unit: str = "bits") -> InfoValue:
     return InfoValue(nats if unit == "nats" else nats / LN2, unit)
 
 
-def _as_float_array(raw, name="matrix"):
+def _as_float_array(raw, name, ndim):
+    """``raw`` as a nonempty, finite, nonnegative float array with ``ndim``
+    axes."""
     arr = np.asarray(raw, dtype=float)
     if arr.size == 0:
         raise InvalidDistribution(f"{name} is empty")
@@ -116,7 +118,20 @@ def _as_float_array(raw, name="matrix"):
         raise InvalidDistribution(f"{name} contains non-finite entries")
     if np.any(arr < 0.0):
         raise InvalidDistribution(f"{name} contains negative entries")
+    if arr.ndim != ndim:
+        raise InvalidDistribution(f"{name} must have {ndim} axes, not {arr.ndim}")
     return arr
+
+
+def _pmf(raw, name, ndim, hint=""):
+    """``raw`` checked by `_as_float_array` and divided by its total, which
+    must be within ``MASS_TOL`` of 1; ``hint`` ends the error message."""
+    arr = _as_float_array(raw, name, ndim)
+    total = arr.sum()
+    if abs(total - 1.0) > MASS_TOL:
+        raise InvalidDistribution(
+            f"{name} mass {total!r} not within {MASS_TOL:g} of 1{hint}")
+    return arr / total
 
 
 @dataclass(frozen=True)
@@ -134,15 +149,8 @@ class JointDistribution:
     y_labels: tuple | None = None
 
     def __post_init__(self):
-        arr = _as_float_array(self.p, "joint matrix")
-        if arr.ndim != 2:
-            raise InvalidDistribution("joint matrix must be two-dimensional")
-        total = arr.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistribution(
-                f"total mass {total!r} not within {MASS_TOL:g} of 1 "
-                "(use validate_and_trim for raw weight matrices)")
-        arr = arr / total
+        arr = _pmf(self.p, "joint matrix", 2,
+                   " (use validate_and_trim for raw weight matrices)")
         if np.any(arr.sum(axis=1) <= 0.0) or np.any(arr.sum(axis=0) <= 0.0):
             raise InvalidDistribution(
                 "zero-mass symbol present (use validate_and_trim to remove it)")
@@ -176,9 +184,7 @@ def validate_and_trim(raw, x_labels=None, y_labels=None) -> JointDistribution:
     by its largest entry first; an entry too small to keep against that
     one becomes zero.
     """
-    arr = _as_float_array(raw, "weight matrix")
-    if arr.ndim != 2:
-        raise InvalidDistribution("weight matrix must be two-dimensional")
+    arr = _as_float_array(raw, "weight matrix", 2)
     with np.errstate(over="ignore"):
         total = arr.sum()
     if total == math.inf:
@@ -209,9 +215,7 @@ class ConditionalKernel:
     k: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.k, "kernel")
-        if arr.ndim != 2:
-            raise InvalidDistribution("kernel must be two-dimensional")
+        arr = _as_float_array(self.k, "kernel", 2)
         sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))
@@ -332,13 +336,9 @@ def rel_entr(a: np.ndarray, b) -> np.ndarray:
 
 def entropy(dist, unit: str = "bits") -> InfoValue:
     """Shannon entropy of a pmf vector (any shape; flattened)."""
-    q = _as_float_array(dist, "distribution").ravel()
-    total = q.sum()
-    if abs(total - 1.0) > MASS_TOL:
-        raise InvalidDistribution(
-            f"distribution mass {total!r} not within {MASS_TOL:g} of 1")
+    q = _pmf(np.ravel(dist), "distribution", 1)
     # 0.0 - x, not -x: a point mass has entropy +0.0, never -0.0
-    return info_from_nats(0.0 - float(rel_entr(q / total, 1.0).sum()), unit)
+    return info_from_nats(0.0 - float(rel_entr(q, 1.0).sum()), unit)
 
 
 def mutual_information(j: JointDistribution, unit: str = "bits") -> InfoValue:
@@ -362,14 +362,7 @@ def conditional_mutual_information(joint3, unit: str = "bits") -> InfoValue:
     of ``KL(P(a|b,c) || P(a|c))``: no product of marginals is formed, so
     none can underflow to zero and turn the result into ``inf - inf``.
     """
-    q = _as_float_array(joint3, "trivariate joint")
-    if q.ndim != 3:
-        raise InvalidDistribution("expected a dense 3-axis joint array")
-    total = q.sum()
-    if abs(total - 1.0) > MASS_TOL:
-        raise InvalidDistribution(
-            f"trivariate mass {total!r} not within {MASS_TOL:g} of 1")
-    q = q / total
+    q = _pmf(joint3, "trivariate joint", 3)
     pac, pbc = q.sum(axis=1), q.sum(axis=0)
     a_bc = np.divide(q, pbc, out=np.zeros_like(q), where=q > 0.0)
     a_c = np.divide(pac, pac.sum(axis=0), out=np.ones_like(pac),

@@ -83,6 +83,15 @@ class IbSolution:
     history: tuple
 
 
+def _refresh(q, px, pxy):
+    """P(U) and P(Y|U) of each kernel of a stack ``(K, nx, card)``, shaped
+    ``(K, card)`` and ``(K, card, ny)``; P(Y|U=u) is 0 for an unused u."""
+    pu = px @ q
+    puy = q.swapaxes(1, 2) @ pxy
+    return pu, np.divide(puy, pu[:, :, None], out=np.zeros_like(puy),
+                         where=pu[:, :, None] > 0.0)
+
+
 def _ib_pairs(q, px, pxy, py):
     """(I(U;X), I(U;Y)) in nats of each kernel of a stack ``(K, nx, card)``.
 
@@ -92,13 +101,10 @@ def _ib_pairs(q, px, pxy, py):
     kernel alone, so a kernel's pair does not depend on the stack it is in.
     Returns an array ``(K, 2)``.
     """
-    pu = px @ q
-    puy = q.swapaxes(1, 2) @ pxy
-    on = pu[:, :, None] > 0.0
-    # P(Y|U=u) and P(X|U=u), the latter laid out like q; 0 for an unused u
-    pygu = np.divide(puy, pu[:, :, None], out=np.zeros_like(puy), where=on)
+    pu, pygu = _refresh(q, px, pxy)
+    # P(X|U=u), laid out like q; 0 for an unused u
     pxgu = np.divide(px[:, None] * q, pu[:, None, :], out=np.zeros_like(q),
-                     where=on.swapaxes(1, 2))
+                     where=pu[:, None, :] > 0.0)
     i_ux = (pu * rel_entr(pxgu, px[:, None]).sum(axis=1)).sum(axis=1)
     i_uy = (pu * rel_entr(pygu, py).sum(axis=2)).sum(axis=1)
     return np.stack([i_ux, i_uy], axis=1)
@@ -155,11 +161,7 @@ def _ib_run(q, px, pygx, py, beta):
                 if stop.all():
                     break
                 live, q, beta = live[~stop], q[~stop], beta[~stop]
-            pu = px @ q
-            puy = q.swapaxes(1, 2) @ pxy
-            # P(Y|U=u), left 0 for an unused u
-            pygu = np.divide(puy, pu[:, :, None], out=np.zeros(puy.shape),
-                             where=pu[:, :, None] > 0.0)
+            pu, pygu = _refresh(q, px, pxy)
             # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
             dist = np.add.reduce(rel_entr(pygx[:, None, :], pygu[:, None]),
                                  axis=3)

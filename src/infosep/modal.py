@@ -101,12 +101,12 @@ def modal_decompose(j: JointDistribution) -> ModalDecomposition:
     sig = np.minimum(sig, 1.0)
     f = u / np.sqrt(px)[:, None]
     g = vt.T / np.sqrt(py)[:, None]
-    for i in range(sig.size):
-        col = f[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-9 * np.abs(col).max())[0]
-        if col[nz[0]] < 0.0:
-            f[:, i] = -f[:, i]
-            g[:, i] = -g[:, i]
+    # each column's first entry above 1e-9 of its largest sets the sign
+    mag = np.abs(f)
+    first = np.argmax(mag > 1e-9 * mag.max(axis=0), axis=0)
+    sign = np.sign(f[first, np.arange(sig.size)])
+    f *= sign
+    g *= sign
     return ModalDecomposition(rank=int(sig.size), sigmas=sig, F=f, G=g, px=px, py=py)
 
 
