@@ -190,3 +190,88 @@ def test_bench_pairs_fails_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "failed calls: parent 0, change 2; incorrect runs: parent 0, " \
            "change 2" in out
+
+
+STUB_HARNESS = """class Joint:
+    def __init__(self, n):
+        self.p = [[1.0 / (n * n)] * n] * n
+
+
+def dsbs(flip):
+    return Joint(2)
+
+
+def random_joint(nx, ny, seed=0):
+    return Joint(nx)
+
+
+def random_refinement(base, nx, ny, seed=0):
+    return Joint(min(nx, 4)), None, None
+"""
+
+STUB_CLI = """import datetime, json, os, sys
+root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+with open(os.path.join(root, "stub.json")) as fh:
+    stub = json.load(fh)
+command = sys.argv[1]
+if command == "measures":
+    print(json.dumps({"timestamp": datetime.datetime.now().isoformat(),
+                      "input": {"path": root, "nx": 2},
+                      "measures": {"wyner": {"value": stub["wyner"]},
+                                   "sigmas": [0.8, 0.1]}}))
+elif command == "reduce":
+    with open("reduced.json", "w") as fh:
+        json.dump({"p": [[0.5, 0.5]]}, fh)
+    with open("maps.json", "w") as fh:
+        json.dump({"s": [0, 0], "t": stub["t"]}, fh)
+elif command == "verify":
+    sys.stderr.write("error: " + stub["error"] + "\\n")
+    sys.exit(2)
+else:
+    print("beta,i_ux\\n1.5," + repr(stub["i_ux"]) + "\\n# envelope,0,0.5")
+"""
+
+
+def make_cli_checkout(root, wyner=0.5, t=(0, 1), error="stub", i_ux=0.25):
+    package = root / "src" / "infosep"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "harness.py").write_text(STUB_HARNESS)
+    (package / "cli.py").write_text(STUB_CLI)
+    (root / "stub.json").write_text(json.dumps(
+        {"wyner": wyner, "t": list(t), "error": error, "i_ux": i_ux}))
+    return str(root)
+
+
+def test_same_outputs_ignores_timestamp_and_input_path(tmp_path, capsys):
+    parent = make_cli_checkout(tmp_path / "parent")
+    change = make_cli_checkout(tmp_path / "change")
+    assert load_tool("same_outputs").main([parent, change]) == 0
+    out = capsys.readouterr().out
+    assert "ref400  verify    exit parent 2 change 2" in out
+    assert "0 fields differ" in out
+    # the tool writes nothing into a checkout
+    assert sorted(p.name for p in (tmp_path / "change").rglob("*")) == [
+        "__init__.py", "cli.py", "harness.py", "infosep", "src", "stub.json"]
+
+
+def test_same_outputs_reports_and_allows_differences(tmp_path, capsys):
+    tool = load_tool("same_outputs")
+    parent = make_cli_checkout(tmp_path / "parent")
+    change = make_cli_checkout(tmp_path / "change", wyner=0.5001, t=(1, 0),
+                               error="other", i_ux=0.125)
+    assert tool.main([parent, change]) == 1
+    out = capsys.readouterr().out
+    assert "4 fields differ" in out
+    assert "measures:measures.wyner.value: 4 values differ, largest change " \
+           "0.0001\n" in out
+    assert "reduce:maps.json:t: 8 values differ, largest change 1\n" in out
+    assert "verify:stderr: 4 values differ, largest change not numeric\n" in out
+    assert "ib-sweep:i_ux: 4 values differ, largest change 0.125\n" in out
+    # an exact field name or a pattern allows a field
+    assert tool.main([parent, change, "--allow", "measures:measures.wyner.value",
+                      "--allow", "reduce:*", "--allow", "verify:*",
+                      "--allow", "ib-sweep:i_ux"]) == 0
+    out = capsys.readouterr().out
+    assert "reduce:maps.json:t: 8 values differ, largest change 1 (allowed)" in out
+    assert "ib-sweep:i_ux: 4 values differ, largest change 0.125 (allowed)" in out
