@@ -314,16 +314,21 @@ def _wyner_certify(q, p, width):
     * factor: entries below ``SUPPORT_CUT`` are cut (the floor puts mass on
       every cell, so without the cut every atom below would start out on
       the zero cells of the table), then P(x, w) and B(y|w) are formed;
+    * entry cut: an atom w that still puts mass on a cell with
+      P(x, y) = 0 loses there the smaller of its two conditional entries,
+      P(x|w) or B(y|w) (on a tie, that of the smaller alphabet, or of X
+      when both are equal), and each cut B(.|w) is renormalized, so that
+      the scale below is not 0.  The rest of the atom stays.  A start with
+      no such atom keeps its factors untouched;
     * polish: ``POLISH_STEPS`` EM steps of the latent-class model
       P~(x, y) = sum_w P(x, w) B(y|w), which lower KL(P || P~) and keep
-      zero patterns (KL-NMF);
-    * repair: atoms that still put mass on a cell with P(x, y) = 0 are
-      dropped, so that the scale below is not 0.  With s = min(1, min of
-      P / P~ over P~ > 0), W' holds the atoms s * P(x, w) B(y|w), under
-      which X and Y are independent, and one symbol per x carrying the
-      leftover P(x, y) - s * P~(x, y), on which X is constant.  So
-      X ⊥ Y | W' holds exactly and P(x, y) is kept.  When Y has fewer
-      symbols, the leftover is grouped per y instead.
+      zero patterns (KL-NMF), so no atom reaches a zero cell again;
+    * repair: with s = min(1, min of P / P~ over P~ > 0), W' holds the
+      atoms s * P(x, w) B(y|w), under which X and Y are independent, and
+      one symbol per x carrying the leftover P(x, y) - s * P~(x, y), on
+      which X is constant.  So X ⊥ Y | W' holds exactly and P(x, y) is
+      kept.  When Y has fewer symbols, the leftover is grouped per y
+      instead.
 
     Returns the kernels of the W', shaped ``(starts, nx, ny, width)`` with
     the atoms in the first ``card`` columns and the leftover of x in column
@@ -345,12 +350,21 @@ def _wyner_certify(q, p, width):
 
     on = p > 0.0
     B = per_symbol(b)
+    # P(x, w) and P(y|w) of every atom at every zero cell
+    zx, zy = np.nonzero(~on)
+    ax, by = a[:, zx, :], B[:, zy, :]
+    cover = (ax > 0.0) & (by > 0.0)
+    cut_x = cover & (ax <= a.sum(axis=1)[:, None, :] * by)
+    s, c, w = np.nonzero(cut_x)
+    a[s, zx[c], w] = 0.0
+    s, c, w = np.nonzero(cover & ~cut_x)
+    B[s, zy[c], w] = 0.0
+    leaky = cover.any(axis=(1, 2))
+    B[leaky] = per_symbol(B[leaky])
     for _ in range(POLISH_STEPS):
         pt = a @ B.swapaxes(1, 2)
         r = np.divide(p, pt, out=np.zeros_like(pt), where=on & (pt > 0.0))
         a, B = a * (r @ B), per_symbol(B * (r.swapaxes(1, 2) @ a))
-    leaks = (a * ((~on).astype(float) @ B)).sum(axis=1) > 0.0
-    a = np.where(leaks[:, None, :], 0.0, a)
     pt = a @ B.swapaxes(1, 2)
     ratio = np.divide(p, pt, out=np.full_like(pt, np.inf), where=pt > 0.0)
     scale = np.minimum(ratio.min(axis=(1, 2)), 1.0)[:, None, None]
@@ -359,7 +373,6 @@ def _wyner_certify(q, p, width):
     xs = np.arange(nx)
     k[:, xs, :, card + xs] = np.maximum(p - scale * pt, 0.0).swapaxes(0, 1)
     np.divide(k, p[..., None], out=k, where=on[..., None])
-    zx, zy = np.nonzero(~on)
     k[:, zx, zy, card + zx] = 1.0
     pj = p[..., None] * k
     pw = pj.sum(axis=(1, 2))[:, None, None, :]

@@ -10,8 +10,11 @@ Conventions:
   boundary; :class:`InfoValue` carries its unit ("bits" by default);
 * terms with zero probability contribute nothing to any sum, matching the
   continuity limit ``0 * log(0) = 0``.  :func:`rel_entr` owns this rule
-  for every ``sum a * log(a / b)`` in the package, except the Wyner
-  objective, whose floored kernel keeps every log finite;
+  for every ``sum a * log(a / b)`` in the package, with two exceptions:
+  the Wyner objective, whose floored kernel keeps every log finite, and
+  the ``kl`` and ``reverse-kl`` f-information generators of
+  :mod:`infosep.finfo`, which sum ``u * log(u)`` and ``-log(u)`` of the
+  density ratio ``u`` through ``FGenerator.fn``;
 * a :class:`JointDistribution` always has strictly positive marginals.
   Raw nonnegative weight matrices (counts, unnormalized tables, tables
   with dead symbols) enter through :func:`validate_and_trim`.

@@ -317,6 +317,19 @@ class TestWynerSolve:
         assert float(r.value) <= cap - 0.1
         assert float(r.markov_residual) <= 1e-12
 
+    @pytest.mark.parametrize("seed, cell, upper, lower", [
+        (0, 0, 0.821667, 0.816528), (1, 6, 0.328844, 0.325548),
+        (1, 7, 0.311983, 0.295564), (3, 2, 0.997025, 0.985761)])
+    def test_leaking_atoms_lose_an_entry_not_the_atom(self, seed, cell,
+                                                       upper, lower):
+        # dropping every leaking atom left exactly min(H(X), H(Y)) on these
+        # tables; ``lower`` is certified by the dual of the concave envelope
+        j = zeroed_cell(seed, cell)
+        r = wyner_solve(j, restarts=2, seed=0)
+        px, py = marginals(j)
+        assert lower <= float(r.value) <= upper + 1e-6
+        assert float(r.value) < min(entropy(px).value, entropy(py).value)
+
     def test_feasibility_of_accepted_result(self, dsbs01):
         r = wyner_solve(dsbs01, card_w=2, restarts=6, seed=1)
         if r.converged:
