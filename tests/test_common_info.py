@@ -322,8 +322,9 @@ class TestWynerSolve:
         (1, 7, 0.311983, 0.295564), (3, 2, 0.997025, 0.985761)])
     def test_leaking_atoms_lose_an_entry_not_the_atom(self, seed, cell,
                                                        upper, lower):
-        # dropping every leaking atom left exactly min(H(X), H(Y)) on these
-        # tables; ``lower`` is certified by the dual of the concave envelope
+        # dropping each atom that leaks onto the zero cell leaves exactly
+        # min(H(X), H(Y)) on these tables; ``lower`` is certified by the
+        # dual of the concave envelope
         j = zeroed_cell(seed, cell)
         r = wyner_solve(j, restarts=2, seed=0)
         px, py = marginals(j)

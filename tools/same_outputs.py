@@ -7,9 +7,9 @@ Usage:
 PARENT and CHANGE are the roots of two checkouts.  PARENT's package writes
 four tables once, as JSON files that both sides then read: ``dsbs(0.1)``,
 ``random_joint(3, 3, seed=0)``, ``random_refinement(dsbs(0.1), 8, 8,
-seed=3)`` and a 400x400 ``random_refinement`` of ``random_joint(4, 4,
-seed=1)``.  On each table each checkout runs, as ``python -m infosep.cli``
-in a fresh directory of its own:
+seed=3)`` and a 400x400 ``random_refinement`` (seed 0) of
+``random_joint(4, 4, seed=1)``.  On each table each checkout runs, as
+``python -m infosep.cli`` in a fresh directory of its own:
 
 * ``measures --seed 5 --restarts 2``;
 * ``reduce --strict --out reduced.json --maps-out maps.json``;
