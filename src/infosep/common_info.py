@@ -206,7 +206,7 @@ def _renormalize(q):
     return q
 
 
-def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
+def _wyner_stage(q, p, lam):
     """Exponentiated-gradient descent at one fixed penalty weight.
 
     ``q`` is a stack ``(starts, nx * ny, card)`` of flattened kernels for
@@ -216,13 +216,14 @@ def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
     them is taken start by start, so a start's arithmetic does not depend
     on the others.  Steps are accepted only when the objective does not
     increase, with the step size halved on rejection, so each start is a
-    descent run.  A start ends when its kernel stalls in sup norm, its
-    objective stops improving for a few consecutive iterations, its step
-    size or its 40 trials of one step run out, or after ``max_iters``
-    accepted steps; it then leaves the later rounds.  Each start keeps its
-    own step size and counts, so it takes the steps it takes when run
-    alone.  The gradient is built only at accepted points.  Returns the
-    final stack and each start's number of accepted steps.
+    descent run.  A start ends when an accepted step moves its kernel by at
+    most 1e-8 in sup norm (1e-10 at the last weight of
+    ``PENALTY_SCHEDULE``), when its objective stops improving for a few
+    consecutive steps, when its step size falls below 1e-13, or after
+    ``MAX_ITERS`` accepted steps; it then leaves the later rounds.  Each
+    start keeps its own step size and counts, so it takes the steps it
+    takes when run alone.  The gradient is built only at accepted points.
+    Returns the final stack and each start's number of accepted steps.
     """
     # ``q`` starts as ``out`` itself: until the first start ends, every row
     # is live and is written again when its start ends.
@@ -236,8 +237,8 @@ def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
     f = (value + lam * resid).tolist()
     lnq = logs[0]
     g = _wyner_grad(logs, expand, scale)
-    eta, trials, stalled, iters = ([0.5] * starts, [0] * starts,
-                                   [0] * starts, [0] * starts)
+    step_tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
+    eta, stalled, iters = [0.5] * starts, [0] * starts, [0] * starts
     while live:
         t = np.array(eta)[:, None, None] * g
         np.subtract(lnq, t, out=t)
@@ -258,16 +259,14 @@ def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
                 gain = f[i] - f_new[i]
                 f[i] = f_new[i]
                 eta[i] = min(eta[i] * 1.5, 20.0)
-                trials[i] = 0
                 iters[i] += 1
                 stalled[i] = (stalled[i] + 1
                               if gain <= 1e-13 * (1.0 + abs(f[i])) else 0)
                 stop = (delta[i] <= step_tol or stalled[i] >= 3
-                        or iters[i] >= max_iters)
+                        or iters[i] >= MAX_ITERS)
             else:
                 eta[i] *= 0.5
-                trials[i] += 1
-                stop = eta[i] < 1e-13 or trials[i] >= 40
+                stop = eta[i] < 1e-13
             (ended if stop else keep).append(i)
         if len(acc) == len(live):
             q, lnq = qn, logs[0]
@@ -282,9 +281,8 @@ def _wyner_stage(q, p, lam, max_iters, step_tol=1e-10):
             out[[live[i] for i in ended]] = q[ended]
             steps[[live[i] for i in ended]] = [iters[i] for i in ended]
             q, lnq, g = q[keep], lnq[keep], g[keep]
-            live, f, eta, trials, stalled, iters = (
-                [s[i] for i in keep]
-                for s in (live, f, eta, trials, stalled, iters))
+            live, f, eta, stalled, iters = (
+                [s[i] for i in keep] for s in (live, f, eta, stalled, iters))
     return out, steps
 
 
@@ -385,7 +383,8 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     """Certified upper bound on the Wyner common information.
 
     Runs the penalty-schedule descent (weights ``PENALTY_SCHEDULE``, each
-    stage at most ``MAX_ITERS`` accepted steps) on kernels with ``card_w``
+    stage at most ``MAX_ITERS`` accepted steps, read at call time, with the
+    stop rules of `_wyner_stage`) on kernels with ``card_w``
     auxiliary symbols, from two deterministic starts (W a copy of X and W a
     copy of Y, when ``card_w`` is large enough) plus ``restarts`` seeded
     Dirichlet(1) random kernels.  Each final kernel is then repaired into
@@ -464,8 +463,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # weight change breaks that symmetry so the descent can
                 # leave the degenerate point; the stage re-converges anyway.
                 q = _jitter(q, run_rngs)
-            tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
-            q, steps = _wyner_stage(q, j.p, lam, MAX_ITERS, step_tol=tol)
+            q, steps = _wyner_stage(q, j.p, lam)
             capped |= steps >= MAX_ITERS
         kernels, values = _wyner_certify(q.reshape(-1, nx, ny, card), j.p,
                                          width)

@@ -526,24 +526,46 @@ class TestWynerEval:
 class TestWynerBatch:
     """All starts of a solve advance in lockstep as one stack."""
 
-    def test_batched_stage_matches_each_start_alone(self, zero_cell_table):
+    def test_batched_stage_matches_each_start_alone(self, zero_cell_table,
+                                                    monkeypatch):
         p = zero_cell_table
         rng = np.random.default_rng(0)
         kinds = ["x", "dirichlet", "dirichlet", "dirichlet"]
         stack = _renormalize(np.stack(
             [_start_kernel(k, 3, 4, 4, rng) for k in kinds])).reshape(4, 12, 4)
         max_iters = 320
-        out, steps = _wyner_stage(stack, p, 10.0, max_iters, step_tol=1e-8)
+        monkeypatch.setattr(infosep.common_info, "MAX_ITERS", max_iters)
+        out, steps = _wyner_stage(stack, p, 10.0)
         # the copy start is cut by max_iters, the others stop on their own,
         # each after a different number of steps
         assert steps[0] == max_iters
         assert len(set(steps.tolist())) == len(kinds)
         assert np.all(steps[1:] < max_iters)
         for i in range(len(kinds)):
-            alone, alone_steps = _wyner_stage(stack[i:i + 1], p, 10.0,
-                                              max_iters, step_tol=1e-8)
+            alone, alone_steps = _wyner_stage(stack[i:i + 1], p, 10.0)
             assert alone_steps[0] == steps[i]
             np.testing.assert_allclose(out[i], alone[0], rtol=0.0, atol=1e-12)
+
+    def test_a_start_that_cannot_descend_ends_at_the_step_floor(
+            self, zero_cell_table, monkeypatch):
+        # every trial scores 1e300 worse than the start, so each one is
+        # rejected and the step size halves from 0.5 until it falls below
+        # 1e-13, 43 trials after the first evaluation
+        evals = []
+        score = _wyner_eval
+
+        def worse(q, marg, h_xy):
+            value, resid, logs = score(q, marg, h_xy)
+            evals.append(q.shape)
+            return (value + 1e300 if len(evals) > 1 else value), resid, logs
+
+        monkeypatch.setattr(infosep.common_info, "_wyner_eval", worse)
+        start = _renormalize(_start_kernel(
+            "dirichlet", 3, 4, 4, np.random.default_rng(0))).reshape(1, 12, 4)
+        out, steps = _wyner_stage(start, zero_cell_table, 10.0)
+        assert steps.tolist() == [0]
+        assert np.array_equal(out, start)
+        assert len(evals) == 44
 
     @pytest.fixture(scope="class")
     def chunk_peaks(self):
