@@ -324,9 +324,10 @@ def theta_of_R(curve: IbCurve, rate: float) -> InfoValue:
     """Envelope value at a rate; piecewise linear, clamped to [0, I(X;Y)].
 
     Beyond the last envelope vertex (rate >= H(X), and already from the
-    saturation rate H(S) on) the value is I(X;Y) exactly.
+    saturation rate H(S) on) the value is I(X;Y) exactly.  Raises
+    `ValueError` for a negative or NaN rate.
     """
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValueError("rate must be nonnegative")
     rs = np.array([p[0] for p in curve.points])
     vs = np.array([p[1] for p in curve.points])

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from infosep.dist import DeterministicMap, JointDistribution, mutual_information
+from infosep.dist import (
+    DeterministicMap,
+    JointDistribution,
+    marginals,
+    mutual_information,
+    validate_and_trim,
+)
 from infosep.errors import InsufficientStatistic, InvalidGenerator
 from infosep.finfo import (
     BUILTIN_GENERATORS,
@@ -125,6 +131,19 @@ class TestFInformationValues:
         # the finite generators stay finite on the same support
         assert np.isfinite(f_information(j, "kl").value)
         assert np.isfinite(f_information(j, "chi2").value)
+
+    def test_rounding_below_zero_is_clamped(self):
+        # f(u) = (u - 1) + (u - 1)^2 is convex with f(1) = f(0) = 0, so its
+        # f-information on a product table is 0; here the sum rounds below
+        gen = FGenerator("shifted-chi2",
+                         lambda u: (u - 1.0) + (u - 1.0) ** 2, 0.0)
+        rng = np.random.default_rng(0)
+        px, py = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+        j = validate_and_trim(np.outer(px, py))
+        qx, qy = marginals(j)
+        weight = np.outer(qx, qy)
+        assert float(np.sum(weight * gen.fn(j.p / weight))) < 0.0
+        assert f_information(j, gen).value == 0.0
 
     def test_chi2_spectrum_identity(self):
         for seed in range(30):

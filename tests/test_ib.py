@@ -419,8 +419,9 @@ class TestThetaOfR:
 
     def test_negative_rate_rejected(self, dsbs01):
         c = ib_curve(dsbs01, beta_grid=(2.0,))
-        with pytest.raises(ValueError):
-            theta_of_R(c, -0.1)
+        for rate in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                theta_of_R(c, rate)
 
     def test_unit_carried(self, dsbs01):
         c = ib_curve(dsbs01, beta_grid=(2.0,), unit="nats")

@@ -1,10 +1,12 @@
 """Dependence kernel, modal decomposition, and sufficiency machinery."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from infosep.cli import EXIT_PARSE, main
 from infosep.common_info import gacs_korner
 from infosep.dist import (
     DeterministicMap,
@@ -17,6 +19,7 @@ from infosep.errors import (
     DimensionError,
     InsufficientStatistic,
     InvalidDistribution,
+    NumericalError,
 )
 from infosep.finfo import f_information
 from infosep.harness import random_joint, random_refinement
@@ -158,6 +161,29 @@ class TestModalDecompose:
             md = modal_decompose(dirichlet_joint(6, 6, seed))
             if md.rank:
                 assert md.sigmas[0] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("fault", ["no-convergence", "sigma-above-one"])
+    def test_svd_faults_are_numerical_errors(self, fault, monkeypatch,
+                                             tmp_path, capsys):
+        svd = np.linalg.svd
+
+        def broken(*args, **kwargs):
+            if fault == "no-convergence":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            u, sig, vt = svd(*args, **kwargs)
+            sig[0] = 1.5
+            return u, sig, vt
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        with pytest.raises(NumericalError):
+            modal_decompose(JointDistribution(DSBS01))
+        path = tmp_path / "dsbs01.json"
+        path.write_text(json.dumps({"p": DSBS01.tolist()}))
+        assert main(["measures", str(path), "--restarts", "0"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReconstructJoint:

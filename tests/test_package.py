@@ -263,15 +263,15 @@ def test_same_outputs_reports_and_allows_differences(tmp_path, capsys):
     assert tool.main([parent, change]) == 1
     out = capsys.readouterr().out
     assert "4 fields differ" in out
-    assert "measures:measures.wyner.value: 4 values differ, largest change " \
+    assert "measures:measures.wyner.value: 6 values differ, largest change " \
            "0.0001\n" in out
-    assert "reduce:maps.json:t: 8 values differ, largest change 1\n" in out
-    assert "verify:stderr: 4 values differ, largest change not numeric\n" in out
-    assert "ib-sweep:i_ux: 4 values differ, largest change 0.125\n" in out
+    assert "reduce:maps.json:t: 12 values differ, largest change 1\n" in out
+    assert "verify:stderr: 6 values differ, largest change not numeric\n" in out
+    assert "ib-sweep:i_ux: 6 values differ, largest change 0.125\n" in out
     # an exact field name or a pattern allows a field
     assert tool.main([parent, change, "--allow", "measures:measures.wyner.value",
                       "--allow", "reduce:*", "--allow", "verify:*",
                       "--allow", "ib-sweep:i_ux"]) == 0
     out = capsys.readouterr().out
-    assert "reduce:maps.json:t: 8 values differ, largest change 1 (allowed)" in out
-    assert "ib-sweep:i_ux: 4 values differ, largest change 0.125 (allowed)" in out
+    assert "reduce:maps.json:t: 12 values differ, largest change 1 (allowed)" in out
+    assert "ib-sweep:i_ux: 6 values differ, largest change 0.125 (allowed)" in out

@@ -5,10 +5,12 @@ Usage:
     python3 tools/same_outputs.py PARENT CHANGE [--allow FIELD ...]
 
 PARENT and CHANGE are the roots of two checkouts.  PARENT's package writes
-four tables once, as JSON files that both sides then read: ``dsbs(0.1)``,
+six tables once, as JSON files that both sides then read: ``dsbs(0.1)``,
 ``random_joint(3, 3, seed=0)``, ``random_refinement(dsbs(0.1), 8, 8,
-seed=3)`` and a 400x400 ``random_refinement`` (seed 0) of
-``random_joint(4, 4, seed=1)``.  On each table each checkout runs, as
+seed=3)``, a 400x400 ``random_refinement`` (seed 0) of
+``random_joint(4, 4, seed=1)``, a 3x3 product table, which reduces to 1x1,
+and ``random_joint(3, 3, seed=1)`` with cell 7 (row 2, column 1) set to
+zero.  On each table each checkout runs, as
 ``python -m infosep.cli`` in a fresh directory of its own:
 
 * ``measures --seed 5 --restarts 2``;
@@ -45,19 +47,27 @@ import tempfile
 TABLES_SCRIPT = """
 import json, os, sys
 from infosep.harness import dsbs, random_joint, random_refinement
+
+def rows(j):
+    return [[float(v) for v in row] for row in j.p]
+
+zeroed = rows(random_joint(3, 3, seed=1))
+zeroed[2][1] = 0.0
 tables = {
-    "dsbs": dsbs(0.1),
-    "rj33": random_joint(3, 3, seed=0),
-    "ref8": random_refinement(dsbs(0.1), 8, 8, seed=3)[0],
-    "ref400": random_refinement(random_joint(4, 4, seed=1), 400, 400,
-                                seed=0)[0],
+    "dsbs": rows(dsbs(0.1)),
+    "rj33": rows(random_joint(3, 3, seed=0)),
+    "ref8": rows(random_refinement(dsbs(0.1), 8, 8, seed=3)[0]),
+    "ref400": rows(random_refinement(random_joint(4, 4, seed=1), 400, 400,
+                                     seed=0)[0]),
+    "product": [[a * b for b in (0.2, 0.3, 0.5)] for a in (0.1, 0.3, 0.6)],
+    "rj33z7": zeroed,
 }
-for name, j in tables.items():
+for name, p in tables.items():
     with open(os.path.join(sys.argv[1], name + ".json"), "w") as fh:
-        json.dump({"p": [[float(v) for v in row] for row in j.p]}, fh)
+        json.dump({"p": p}, fh)
 """
 
-TABLES = ("dsbs", "rj33", "ref8", "ref400")
+TABLES = ("dsbs", "rj33", "ref8", "ref400", "product", "rj33z7")
 COMMANDS = {
     "measures": ["--seed", "5", "--restarts", "2"],
     "reduce": ["--strict", "--out", "reduced.json", "--maps-out", "maps.json"],
