@@ -280,7 +280,10 @@ def _wyner_stage(q, p, lam):
         if ended:
             out[[live[i] for i in ended]] = q[ended]
             steps[[live[i] for i in ended]] = [iters[i] for i in ended]
-            q, lnq, g = q[keep], lnq[keep], g[keep]
+            # one at a time, so that fewer partial stacks are alive at once
+            q = q[keep]
+            lnq = lnq[keep]
+            g = g[keep]
             live, f, eta, stalled, iters = (
                 [s[i] for i in keep] for s in (live, f, eta, stalled, iters))
     return out, steps

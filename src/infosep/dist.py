@@ -301,15 +301,19 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     exponentiating; a row that is all ``-inf`` gives ``-inf``.  Same values
     as SciPy's ``logsumexp(a, axis=-1, keepdims=True)`` without its
     per-call dispatch cost, which dominates on the solvers' small matrices;
-    the reductions call the ufuncs directly for the same reason.
+    the reductions call the ufuncs directly for the same reason.  The shift
+    and the exponential share one temporary the size of ``a``.
     """
     m = np.maximum.reduce(a, axis=-1, keepdims=True)
     if np.logical_and.reduce(np.isfinite(m), axis=None):
         # every row has a finite entry: no fix-up
-        return np.log(np.add.reduce(np.exp(a - m), axis=-1, keepdims=True)) + m
+        e = np.subtract(a, m)
+        return np.log(np.add.reduce(np.exp(e, out=e), axis=-1,
+                                    keepdims=True)) + m
     m[~np.isfinite(m)] = 0.0
+    e = np.subtract(a, m)
     with np.errstate(divide="ignore"):
-        return np.log(np.add.reduce(np.exp(a - m), axis=-1,
+        return np.log(np.add.reduce(np.exp(e, out=e), axis=-1,
                                     keepdims=True)) + m
 
 
