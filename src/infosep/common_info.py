@@ -14,8 +14,9 @@ Stochastic common information (Wyner): the least I(W; X, Y) over auxiliary
 variables W making X and Y conditionally independent.  `wyner_solve`
 returns a certified upper bound on it.  It minimizes the penalized objective
 I(W;X,Y) + lam * I(X;Y|W) over conditional kernels P(w | x, y) by
-multi-start exponentiated-gradient descent, with the penalty weight ramped
-over the fixed schedule (1, 10, 100).  Each descent result is then factored
+multi-start exponentiated-gradient descent with restarted momentum, with the
+penalty weight ramped over the fixed schedule (1, 10, 100); it reads the
+table rounded to 40 mantissa bits.  Each descent result is then factored
 into a latent-class model, polished by EM and repaired into an auxiliary W'
 with X ⊥ Y | W' exactly and the (x, y) marginal exactly P (see
 `_wyner_certify`), so its I(W';X,Y) bounds the Wyner value from above.  The
@@ -53,6 +54,9 @@ from .errors import DimensionError, NumericalError
 PENALTY_SCHEDULE = (1.0, 10.0, 100.0)
 #: accepted descent steps allowed per penalty stage of one Wyner start
 MAX_ITERS = 1000
+#: accepted steps a Wyner start takes in a stage before its trials carry
+#: momentum (see `_wyner_stage`)
+MOMENTUM_WAIT = 50
 #: kernel entries are floored at this to keep logarithms finite
 KERNEL_FLOOR = 1e-16
 #: smallest positive cell the Wyner solver takes (about 2.2e-292): below
@@ -215,15 +219,27 @@ def _wyner_stage(q, p, lam):
     The matrices of `_wyner_matrices` are built once, and every product by
     them is taken start by start, so a start's arithmetic does not depend
     on the others.  Steps are accepted only when the objective does not
-    increase, with the step size halved on rejection, so each start is a
-    descent run.  A start ends when an accepted step moves its kernel by at
-    most 1e-8 in sup norm (1e-10 at the last weight of
-    ``PENALTY_SCHEDULE``), when its objective stops improving for a few
-    consecutive steps, when its step size falls below 1e-13, or after
-    ``MAX_ITERS`` accepted steps; it then leaves the later rounds.  Each
-    start keeps its own step size and counts, so it takes the steps it
-    takes when run alone.  The gradient is built only at accepted points.
-    Returns the final stack and each start's number of accepted steps.
+    increase, so each start is a descent run.
+
+    A trial is ``log q - eta * grad + mu * (log q - log q_prev)``,
+    normalized per row, where ``q_prev`` is the kernel before the last
+    accepted step (Nesterov momentum in the mirror domain).  With ``k`` the
+    accepted steps since the start's last rejection, ``mu`` is
+    ``(k - 1) / (k + 2)`` once the start has taken ``MOMENTUM_WAIT``
+    accepted steps in this stage, and 0 before (momentum from the first
+    step leads some starts into worse basins).  A rejection sets ``k`` to 0:
+    after a trial with momentum this is a restart (O'Donoghue and Candes
+    2015) and the step size is kept; after a plain trial the step size
+    halves.  A plain accepted step grows it by 1.5, up to 20.
+
+    A start ends when an accepted step moves its kernel by at most 1e-8 in
+    sup norm (1e-10 at the last weight of ``PENALTY_SCHEDULE``), when its
+    objective stops improving for a few consecutive steps, when its step
+    size falls below 1e-13, or after ``MAX_ITERS`` accepted steps; it then
+    leaves the later rounds.  Each start keeps its own step size, momentum
+    and counts, so it takes the steps it takes when run alone.  The
+    gradient is built only at accepted points.  Returns the final stack and
+    each start's number of accepted steps.
     """
     # ``q`` starts as ``out`` itself: until the first start ends, every row
     # is live and is written again when its start ends.
@@ -237,11 +253,21 @@ def _wyner_stage(q, p, lam):
     f = (value + lam * resid).tolist()
     lnq = logs[0]
     g = _wyner_grad(logs, expand, scale)
+    # log q minus log q before the last accepted step, per start
+    d = np.zeros_like(q)
     step_tol = 1e-10 if lam == PENALTY_SCHEDULE[-1] else 1e-8
     eta, stalled, iters = [0.5] * starts, [0] * starts, [0] * starts
+    streak = [0] * starts
     while live:
+        mu = [(k - 1) / (k + 2) if k and n >= MOMENTUM_WAIT else 0.0
+              for k, n in zip(streak, iters)]
         t = np.array(eta)[:, None, None] * g
         np.subtract(lnq, t, out=t)
+        if any(mu):
+            # d is read by this trial only: an accepted step replaces it and
+            # a rejected one restarts the momentum, so it is scaled in place
+            d *= np.array(mu)[:, None, None]
+            t += d
         t -= logsumexp(t)
         qn = _renormalize(np.exp(t, out=t))
         value, resid, logs = _wyner_eval(qn, marg, h_xy)
@@ -258,21 +284,27 @@ def _wyner_stage(q, p, lam):
             if accepted:
                 gain = f[i] - f_new[i]
                 f[i] = f_new[i]
-                eta[i] = min(eta[i] * 1.5, 20.0)
+                if not mu[i]:
+                    eta[i] = min(eta[i] * 1.5, 20.0)
+                streak[i] += 1
                 iters[i] += 1
                 stalled[i] = (stalled[i] + 1
                               if gain <= 1e-13 * (1.0 + abs(f[i])) else 0)
                 stop = (delta[i] <= step_tol or stalled[i] >= 3
                         or iters[i] >= MAX_ITERS)
             else:
-                eta[i] *= 0.5
+                streak[i] = 0
+                if not mu[i]:
+                    eta[i] *= 0.5
                 stop = eta[i] < 1e-13
             (ended if stop else keep).append(i)
         if len(acc) == len(live):
+            np.subtract(logs[0], lnq, out=d)
             q, lnq = qn, logs[0]
             g = _wyner_grad(logs, expand, scale)
         elif acc:
             mask = np.array(ok)[:, None, None]
+            np.subtract(logs[0], lnq, out=d, where=mask)
             np.copyto(q, qn, where=mask)
             np.copyto(lnq, logs[0], where=mask)
             g[acc] = _wyner_grad(tuple(a.take(acc, axis=0) for a in logs),
@@ -284,8 +316,10 @@ def _wyner_stage(q, p, lam):
             q = q[keep]
             lnq = lnq[keep]
             g = g[keep]
-            live, f, eta, stalled, iters = (
-                [s[i] for i in keep] for s in (live, f, eta, stalled, iters))
+            d = d[keep]
+            live, f, eta, stalled, iters, streak = (
+                [s[i] for i in keep]
+                for s in (live, f, eta, stalled, iters, streak))
     return out, steps
 
 
@@ -387,7 +421,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
 
     Runs the penalty-schedule descent (weights ``PENALTY_SCHEDULE``, each
     stage at most ``MAX_ITERS`` accepted steps, read at call time, with the
-    stop rules of `_wyner_stage`) on kernels with ``card_w``
+    momentum and stop rules of `_wyner_stage`) on kernels with ``card_w``
     auxiliary symbols, from two deterministic starts (W a copy of X and W a
     copy of Y, when ``card_w`` is large enough) plus ``restarts`` seeded
     Dirichlet(1) random kernels.  Each final kernel is then repaired into
@@ -395,7 +429,11 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     and keeps P(x, y) exactly (see `_wyner_certify`), so I(W';X,Y) is at
     least the Wyner value.  Since W = X and W = Y are feasible too, a
     start's certified value is ``min(I(W';X,Y), H(X), H(Y))``.  The
-    smallest certified value wins, ties broken by start index.
+    smallest certified value wins, ties broken by start index.  The descent
+    reads ``j.p`` rounded to 40 mantissa bits, so that tables equal up to
+    summation rounding, such as a table and the reduction of one of its
+    refinements, take the same path; the certificate reads ``j.p`` itself,
+    so ``value`` is exact for the input.
 
     The returned kernel achieves ``value``.  Its first ``card_w`` columns
     are the descent's symbols and the next ``min(nx, ny)`` hold the repair's
@@ -415,7 +453,8 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     below both ``nx`` and ``ny`` and no restarts) or when the returned
     kernel would hold more than ``MAX_SOLVER_ENTRIES`` entries
     (``nx * ny`` times its column count).  Raises `NumericalError` when a
-    positive cell of ``j`` is below ``MIN_WYNER_CELL`` (about 2.2e-292).
+    positive cell of ``j``, so rounded, is below ``MIN_WYNER_CELL`` (about
+    2.2e-292).
     """
     nx, ny = j.nx, j.ny
     card = int(card_w) if card_w is not None else nx * ny
@@ -439,7 +478,9 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
             f"alphabet sizes ({nx}x{ny}), so W cannot copy X or Y, and "
             f"restarts is 0; raise card_w (--wyner-card) or restarts "
             f"(--restarts)")
-    low = j.p[j.p > 0.0].min()
+    mant, expo = np.frexp(j.p)
+    p = np.ldexp(np.round(mant * 2.0**40) / 2.0**40, expo)
+    low = p[p > 0.0].min()
     if low < MIN_WYNER_CELL:
         raise NumericalError(
             f"Wyner solver needs every positive cell at least "
@@ -466,7 +507,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
                 # weight change breaks that symmetry so the descent can
                 # leave the degenerate point; the stage re-converges anyway.
                 q = _jitter(q, run_rngs)
-            q, steps = _wyner_stage(q, j.p, lam)
+            q, steps = _wyner_stage(q, p, lam)
             capped |= steps >= MAX_ITERS
         kernels, values = _wyner_certify(q.reshape(-1, nx, ny, card), j.p,
                                          width)

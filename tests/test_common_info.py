@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import infosep.common_info
 from infosep.common_info import (
     MIN_WYNER_CELL,
+    MOMENTUM_WAIT,
     _renormalize,
     _start_kernel,
     _wyner_eval,
@@ -43,11 +44,15 @@ def binary_entropy(p):
     return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
 
 
-# Closed-form Wyner value for DSBS(0.1): the crossover 0.1 factors through
-# two identical binary symmetric channels with parameter a, 2a(1-a) = 0.1,
-# and the optimum is 1 + h(0.1) - 2 h(a).
-WYNER_A = (1.0 - np.sqrt(1.0 - 2.0 * 0.1)) / 2.0
-WYNER_DSBS01 = 1.0 + binary_entropy(0.1) - 2.0 * binary_entropy(WYNER_A)
+def wyner_dsbs(flip):
+    """Closed-form Wyner value of DSBS(flip): the crossover factors through
+    two identical binary symmetric channels with parameter a,
+    2a(1-a) = flip, and the optimum is 1 + h(flip) - 2 h(a)."""
+    a = (1.0 - np.sqrt(1.0 - 2.0 * flip)) / 2.0
+    return 1.0 + binary_entropy(flip) - 2.0 * binary_entropy(a)
+
+
+WYNER_DSBS01 = wyner_dsbs(0.1)
 
 
 def block_joint(masses, sizes, seed=0):
@@ -288,6 +293,31 @@ class TestWynerSolve:
         assert r.converged
         assert float(r.value) == pytest.approx(WYNER_DSBS01, abs=1e-6)
         assert float(r.markov_residual) <= 1e-6
+
+    @pytest.mark.parametrize("flip", [0.05, 0.1])
+    def test_dsbs_closed_form_from_the_copy_starts(self, flip):
+        # the benchmark's warm-up solve; momentum from the first step leaves
+        # the copy starts in a worse basin (0.99995 bits at flip 0.1)
+        r = wyner_solve(dsbs(flip), card_w=2, restarts=0)
+        assert float(r.value) == pytest.approx(wyner_dsbs(flip), abs=1e-6)
+
+    def test_random_3x3_stages_end_by_themselves(self):
+        # plain descent stops at the MAX_ITERS cap here, at 0.951942 bits
+        r = wyner_solve(random_joint(3, 3, seed=0), restarts=0)
+        assert r.converged
+        assert float(r.value) <= 0.9420765
+
+    def test_reductions_of_refinements_take_the_base_path(self):
+        # a reduced table equals its base only up to summation rounding;
+        # the descent reads both rounded to 40 mantissa bits
+        base = random_joint(3, 3, seed=1)
+        want = float(wyner_solve(base, restarts=2, seed=0).value)
+        for seed in range(3):
+            raw, _, _ = random_refinement(base, 8, 7, seed=seed)
+            red = reduce_joint(raw, *minimal_sufficient_maps(raw))
+            assert red.p.shape == base.p.shape
+            got = float(wyner_solve(red, restarts=2, seed=0).value)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_iteration_cap_reports_unconverged(self, dsbs01, monkeypatch):
         # five steps per stage leave the descent far from a stationary point;
@@ -533,14 +563,15 @@ class TestWynerBatch:
         kinds = ["x", "dirichlet", "dirichlet", "dirichlet"]
         stack = _renormalize(np.stack(
             [_start_kernel(k, 3, 4, 4, rng) for k in kinds])).reshape(4, 12, 4)
-        max_iters = 320
+        max_iters = 120
         monkeypatch.setattr(infosep.common_info, "MAX_ITERS", max_iters)
         out, steps = _wyner_stage(stack, p, 10.0)
-        # the copy start is cut by max_iters, the others stop on their own,
-        # each after a different number of steps
+        # the copy start is cut by max_iters, the others stop on their own
+        # past MOMENTUM_WAIT, each after a different number of steps
         assert steps[0] == max_iters
         assert len(set(steps.tolist())) == len(kinds)
         assert np.all(steps[1:] < max_iters)
+        assert np.all(steps > MOMENTUM_WAIT)
         for i in range(len(kinds)):
             alone, alone_steps = _wyner_stage(stack[i:i + 1], p, 10.0)
             assert alone_steps[0] == steps[i]

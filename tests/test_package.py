@@ -275,3 +275,84 @@ def test_same_outputs_reports_and_allows_differences(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "reduce:maps.json:t: 12 values differ, largest change 1 (allowed)" in out
     assert "ib-sweep:i_ux: 6 values differ, largest change 0.125 (allowed)" in out
+
+
+STUB_SCAN_HARNESS = """class Joint:
+    def __init__(self, n):
+        self.p = [[1.0 / (n * n)] * n] * n
+
+
+def dsbs(flip):
+    return Joint(2)
+
+
+def random_joint(nx, ny, alpha=1.0, seed=0):
+    return Joint(nx)
+"""
+
+STUB_SCAN_DIST = """class Joint:
+    def __init__(self, p):
+        self.nx, self.ny = len(p), len(p[0])
+
+
+def validate_and_trim(p):
+    return Joint(p)
+"""
+
+STUB_SCAN_SOLVER = """import json, os, types
+root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+with open(os.path.join(root, "stub.json")) as fh:
+    stub = json.load(fh)
+
+
+def wyner_solve(j, card_w=None, restarts=10, seed=0):
+    if stub["fail"]:
+        raise RuntimeError("stub")
+    rise = stub["shift"] * j.nx * (restarts == 2)
+    return types.SimpleNamespace(value=j.nx + rise, converged=card_w is None)
+"""
+
+
+def make_solver_checkout(root, shift=0.0, fail=False):
+    package = root / "src" / "infosep"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "harness.py").write_text(STUB_SCAN_HARNESS)
+    (package / "dist.py").write_text(STUB_SCAN_DIST)
+    (package / "common_info.py").write_text(STUB_SCAN_SOLVER)
+    (root / "stub.json").write_text(json.dumps({"shift": shift, "fail": fail}))
+    return str(root)
+
+
+def test_wyner_scan_counts_falls_and_rises(tmp_path, capsys):
+    tool = load_tool("wyner_scan")
+    parent = make_solver_checkout(tmp_path / "parent")
+    change = make_solver_checkout(tmp_path / "change", shift=1e-3)
+    assert tool.main([parent, change]) == 0
+    out = capsys.readouterr().out
+    assert "parent: 672 solves in " in out and ", 336 converged" in out
+    assert "restarts 0, card_w default  falls    0 (largest 0)  rises    0 " \
+           "(largest 0)" in out
+    assert "restarts 2, card_w max      falls    0 (largest 0)  rises  168 " \
+           "(largest 0.004)" in out
+    assert "all 672 solves              falls    0 (largest 0)  rises  336 " \
+           "(largest 0.004)" in out
+    # the five largest rises, ties in table order
+    assert "largest rises:\n  random_joint(4, 2, 0.5, 0), restarts 2, card_w " \
+           "default: 4.0000000 -> 4.0040000 (+0.004)\n" in out
+    assert out.count(" -> ") == 5
+    # a change that only lowers values has no rises to list, and passes
+    assert tool.main([change, parent]) == 0
+    assert "rises    0 (largest 0)\nno rises\n" in capsys.readouterr().out
+    # the tool writes nothing into a checkout
+    assert sorted(p.name for p in (tmp_path / "change").rglob("*")) == [
+        "__init__.py", "common_info.py", "dist.py", "harness.py", "infosep",
+        "src", "stub.json"]
+
+
+def test_wyner_scan_fails_when_a_run_fails(tmp_path, capsys):
+    tool = load_tool("wyner_scan")
+    parent = make_solver_checkout(tmp_path / "parent")
+    change = make_solver_checkout(tmp_path / "change", fail=True)
+    assert tool.main([parent, change]) == 1
+    assert "run failed: change" in capsys.readouterr().out
