@@ -17,9 +17,10 @@ I(W;X,Y) + lam * I(X;Y|W) over conditional kernels P(w | x, y) by
 multi-start exponentiated-gradient descent with restarted momentum, with the
 penalty weight ramped over the fixed schedule (1, 10, 100); it reads the
 table rounded to 40 mantissa bits.  Each descent result is then factored
-into a latent-class model, polished by EM and repaired into an auxiliary W'
-with X ⊥ Y | W' exactly and the (x, y) marginal exactly P (see
-`_wyner_certify`), so its I(W';X,Y) bounds the Wyner value from above.  The
+into a latent-class model, polished by EM with SQUAREM steps until it
+stalls, and repaired into an auxiliary W' with X ⊥ Y | W' exactly and the
+(x, y) marginal exactly P (see `_wyner_certify`), so its I(W';X,Y) bounds
+the Wyner value from above.  The
 starts are independent runs, so they advance in lockstep as one batch: each
 array operation of a descent round serves every start at once, and each
 start's result is the one it gives when run alone.  Results are
@@ -41,6 +42,7 @@ from .dist import (
     InfoValue,
     JointDistribution,
     _multistart,
+    _squarem,
     conditional_mutual_information,
     entropy,
     info_from_nats,
@@ -64,7 +66,9 @@ KERNEL_FLOOR = 1e-16
 MIN_WYNER_CELL = np.finfo(float).tiny / KERNEL_FLOOR
 #: kernel entries below this are cut to zero before the Wyner certificate
 SUPPORT_CUT = 1e-10
-#: EM steps that polish the latent-class model of the Wyner certificate
+#: most EM steps that polish the latent-class model of the Wyner
+#: certificate, three per SQUAREM iteration; the polish stops earlier once
+#: it stalls (see `_wyner_certify`)
 POLISH_STEPS = 200
 
 
@@ -340,11 +344,12 @@ def _start_kernel(kind, nx, ny, card, rng):
     return rng.dirichlet(np.ones(card), size=nx * ny).reshape(nx, ny, card)
 
 
-def _wyner_certify(q, p, width):
+def _wyner_certify(q, p, table, width):
     """Exactly feasible auxiliaries built from a stack of kernels.
 
     ``q`` is a stack ``(starts, nx, ny, card)`` of kernels P(w | x, y) for
-    the table ``p``.  For each start, in one batch:
+    the table ``p``, and ``table`` is the table the descent read (``p``
+    rounded, with the same zero cells).  For each start, in one batch:
 
     * factor: entries below ``SUPPORT_CUT`` are cut (the floor puts mass on
       every cell, so without the cut every atom below would start out on
@@ -355,9 +360,15 @@ def _wyner_certify(q, p, width):
       when both are equal), and each cut B(.|w) is renormalized, so that
       the scale below is not 0.  The rest of the atom stays.  A start with
       no such atom keeps its factors untouched;
-    * polish: ``POLISH_STEPS`` EM steps of the latent-class model
-      P~(x, y) = sum_w P(x, w) B(y|w), which lower KL(P || P~) and keep
-      zero patterns (KL-NMF), so no atom reaches a zero cell again;
+    * polish: EM on the latent-class model P~(x, y) = sum_w P(x, w) B(y|w),
+      which lowers the generalized KL(P || P~) and keeps zero entries
+      (KL-NMF), so no atom reaches a zero cell again.  Each iteration makes
+      two EM steps and one SQUAREM extrapolation of the three points in the
+      logs of P(x, w) and B(y|w) (`dist._squarem`, one step length per
+      start), and keeps the EM step from the extrapolated point only when
+      its KL is at most that of the second step.  A start stops when an
+      iteration lowers its KL by at most 1e-15 * (1 + KL), or before its EM
+      steps would pass ``POLISH_STEPS``;
     * repair: with s = min(1, min of P / P~ over P~ > 0), W' holds the
       atoms s * P(x, w) B(y|w), under which X and Y are independent, and
       one symbol per x carrying the leftover P(x, y) - s * P~(x, y), on
@@ -365,18 +376,20 @@ def _wyner_certify(q, p, width):
       kept.  When Y has fewer symbols, the leftover is grouped per y
       instead.
 
+    The factor, the cut and the polish read ``table``, so that tables equal
+    up to rounding take the same path; the repair and the value read ``p``.
     Returns the kernels of the W', shaped ``(starts, nx, ny, width)`` with
     the atoms in the first ``card`` columns and the leftover of x in column
     ``card + x`` (a zero-probability cell puts its whole row there), and
     their I(W';X,Y) in nats.
     """
     if p.shape[1] < p.shape[0]:
-        k, values = _wyner_certify(q.swapaxes(1, 2), p.T, width)
+        k, values = _wyner_certify(q.swapaxes(1, 2), p.T, table.T, width)
         return k.swapaxes(1, 2), values
     starts, nx, ny, card = q.shape
     q = np.where(q < SUPPORT_CUT, 0.0, q)
-    a = (p[:, None, :] @ q)[:, :, 0, :]                   # P(x, w)
-    b = (p.T[:, None, :] @ q.swapaxes(1, 2))[:, :, 0, :]  # P(y, w)
+    a = (table[:, None, :] @ q)[:, :, 0, :]                   # P(x, w)
+    b = (table.T[:, None, :] @ q.swapaxes(1, 2))[:, :, 0, :]  # P(y, w)
     del q
 
     def per_symbol(joint):
@@ -396,10 +409,45 @@ def _wyner_certify(q, p, width):
     B[s, zy[c], w] = 0.0
     leaky = cover.any(axis=(1, 2))
     B[leaky] = per_symbol(B[leaky])
-    for _ in range(POLISH_STEPS):
+
+    def em(a, B):
         pt = a @ B.swapaxes(1, 2)
-        r = np.divide(p, pt, out=np.zeros_like(pt), where=on & (pt > 0.0))
-        a, B = a * (r @ B), per_symbol(B * (r.swapaxes(1, 2) @ a))
+        r = np.divide(table, pt, out=np.zeros_like(pt), where=on & (pt > 0.0))
+        return a * (r @ B), per_symbol(B * (r.swapaxes(1, 2) @ a))
+
+    def divergence(a, B):
+        # generalized KL(table || P~) over the cells P~ covers; a cell it
+        # does not cover stays uncovered, so leaving it out is a constant
+        pt = a @ B.swapaxes(1, 2)
+        terms = rel_entr(table, pt) - table + pt
+        return np.add.reduce(np.where(pt > 0.0, terms, 0.0), axis=(1, 2))
+
+    def logs(a, B):
+        with np.errstate(divide="ignore"):
+            return np.concatenate([np.log(a).reshape(len(a), -1),
+                                   np.log(B).reshape(len(B), -1)], axis=1)
+
+    live, la, lb = np.arange(starts), a, B
+    kl = divergence(a, B)
+    for _ in range(POLISH_STEPS // 3):
+        a1, b1 = em(la, lb)
+        a2, b2 = em(a1, b1)
+        x = _squarem(logs(la, lb), logs(a1, b1), logs(a2, b2))
+        # EM does not depend on the scale of either factor, so one shift
+        # per start keeps the exponential finite
+        x = np.exp(x - np.maximum.reduce(x, axis=1, keepdims=True))
+        a3, b3 = em(x[:, :nx * card].reshape(a2.shape),
+                    per_symbol(x[:, nx * card:].reshape(b2.shape)))
+        kl2, kl3 = divergence(a2, b2), divergence(a3, b3)
+        take = kl3 <= kl2
+        la = np.where(take[:, None, None], a3, a2)
+        lb = np.where(take[:, None, None], b3, b2)
+        a[live], B[live] = la, lb
+        new = np.where(take, kl3, kl2)
+        go = kl - new > 1e-15 * (1.0 + new)
+        live, la, lb, kl = live[go], la[go], lb[go], new[go]
+        if not len(live):
+            break
     pt = a @ B.swapaxes(1, 2)
     ratio = np.divide(p, pt, out=np.full_like(pt, np.inf), where=pt > 0.0)
     scale = np.minimum(ratio.min(axis=(1, 2)), 1.0)[:, None, None]
@@ -430,10 +478,11 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
     least the Wyner value.  Since W = X and W = Y are feasible too, a
     start's certified value is ``min(I(W';X,Y), H(X), H(Y))``.  The
     smallest certified value wins, ties broken by start index.  The descent
-    reads ``j.p`` rounded to 40 mantissa bits, so that tables equal up to
-    summation rounding, such as a table and the reduction of one of its
-    refinements, take the same path; the certificate reads ``j.p`` itself,
-    so ``value`` is exact for the input.
+    and the certificate's polish read ``j.p`` rounded to 40 mantissa bits,
+    so that tables equal up to summation rounding, such as a table and the
+    reduction of one of its refinements, take the same path; the
+    certificate's repair reads ``j.p`` itself, so ``value`` is exact for
+    the input.
 
     The returned kernel achieves ``value``.  Its first ``card_w`` columns
     are the descent's symbols and the next ``min(nx, ny)`` hold the repair's
@@ -510,7 +559,7 @@ def wyner_solve(j: JointDistribution, card_w: int | None = None,
             q, steps = _wyner_stage(q, p, lam)
             capped |= steps >= MAX_ITERS
         kernels, values = _wyner_certify(q.reshape(-1, nx, ny, card), j.p,
-                                         width)
+                                         p, width)
         for k, value in enumerate(values.tolist()):
             kernel = (kernels[k].copy() if value <= cap[0]
                       else _start_kernel(cap[1], nx, ny, width, None))

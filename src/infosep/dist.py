@@ -68,6 +68,40 @@ def _multistart(groups, entries, run):
     return best
 
 
+def _squarem(ln0, ln1, ln2):
+    """One SQUAREM extrapolation in the log domain, one step length per run.
+
+    ``ln0``, ``ln1`` and ``ln2`` stack ``(runs, ...)`` the logs of a point
+    x, of M(x) and of M(M(x)) for a fixed-point map M.  Over the entries
+    finite in all three, with r = ln1 - ln0 and v = ln2 - 2 ln1 + ln0, each
+    run takes alpha = min(-|r| / |v|, -1) (scheme S3 of Varadhan and Roland
+    2008) and the point ln0 - 2 alpha r + alpha^2 v, written as
+    ln2 + (alpha + 1) ((alpha - 1) v - 2 r) so that alpha = -1 gives ln2
+    exactly.  An entry that is -inf in any of the three keeps its value in
+    ``ln2``, and so does every entry of a run whose step overflows (logs
+    beyond about 1e154 in size).  Returns the new logs, not normalized;
+    every operation acts on each run alone.
+    """
+    fin = np.isfinite(ln0) & np.isfinite(ln1) & np.isfinite(ln2)
+    r = np.subtract(ln1, ln0, out=np.zeros_like(ln0), where=fin)
+    v = np.subtract(ln2, ln1, out=np.zeros_like(ln0), where=fin)
+    v -= r
+    axes = tuple(range(1, r.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = np.add.reduce(r * r, axis=axes)
+        vv = np.add.reduce(v * v, axis=axes)
+        alpha = -np.sqrt(np.divide(rr, vv, out=np.ones_like(rr),
+                                   where=vv > 0.0))
+        alpha = np.minimum(alpha, -1.0).reshape((-1,) + (1,) * len(axes))
+        v *= alpha - 1.0
+        v -= 2.0 * r
+        v *= alpha + 1.0
+        v += ln2
+    ok = np.logical_and.reduce(np.isfinite(v) | ~fin, axis=axes,
+                               keepdims=True)
+    return np.where(fin & ok, v, ln2)
+
+
 def _check_unit(unit):
     if unit not in _UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {_UNITS}")

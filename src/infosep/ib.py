@@ -10,9 +10,13 @@ kernel, then set
 
     P(u | x)  proportional to  P(u) * exp(-beta * KL(P(Y|X=x) || P(Y|U=u))).
 
-Each full refresh cycle is a block-coordinate minimization of a common
-variational objective, so the Lagrangian never increases along a run; the
-recorded per-iteration trace makes that checkable.  For beta <= 1 the
+Each refresh is a block-coordinate minimization of a common variational
+objective, so it never raises the Lagrangian.  The map converges only
+linearly, slowly near a critical multiplier, so each iteration adds one
+SQUAREM extrapolation (Varadhan and Roland 2008) and keeps its result only
+when that does not raise the Lagrangian either (see `_ib_run`): the
+Lagrangian never increases along a run, and the recorded per-iteration
+trace makes that checkable.  For beta <= 1 the
 constant variable is already optimal and the solver returns it immediately
 with Lagrangian exactly 0.
 
@@ -46,6 +50,7 @@ from .dist import (
     InfoValue,
     JointDistribution,
     _multistart,
+    _squarem,
     conditional_kernel,
     entropy,
     info_from_nats,
@@ -60,7 +65,8 @@ from .modal import minimal_sufficient_maps
 
 #: a run has converged once no kernel entry moves by more than this
 CONV_TOL = 1e-10
-#: a run stops after this many refresh cycles, converged or not
+#: a run stops after this many iterations, converged or not; an iteration
+#: makes up to three refreshes (see `_ib_run`)
 MAX_ITERS = 2000
 
 
@@ -110,73 +116,90 @@ def _ib_pairs(q, px, pxy, py):
     return np.stack([i_ux, i_uy], axis=1)
 
 
+def _ib_update(q, px, pxy, pygx, beta):
+    """One refresh of each kernel of a stack: the logs of the updated
+    kernels, and the kernels."""
+    pu, pygu = _refresh(q, px, pxy)
+    # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
+    dist = np.add.reduce(rel_entr(pygx[:, None, :], pygu[:, None]), axis=3)
+    # log P(u) is -inf for an unused u, and beta times the KL term may
+    # overflow to +inf for a huge beta: either way the weight is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        lnq = np.log(pu)[:, None, :] - beta * dist
+    lnq -= logsumexp(lnq)
+    return lnq, np.exp(lnq)
+
+
+def _ib_extrapolate(ln0, ln1, q1, px, pxy, pygx, py, beta):
+    """The kernels an iteration keeps from ``q``, ``q1 = T(q)`` and ``ln0``,
+    ``ln1``, their logs: ``q2 = T(q1)``, or ``q3`` refreshed from the
+    SQUAREM point when its Lagrangian is not above that of ``q2``.  Returns
+    the kept kernels, their logs and their pairs; a function of its own so
+    that the iteration's other kernels are freed before the next one."""
+    ln2, q2 = _ib_update(q1, px, pxy, pygx, beta)
+    ln3 = _squarem(ln0, ln1, ln2)
+    ln3 -= logsumexp(ln3)
+    ln3, q3 = _ib_update(np.exp(ln3), px, pxy, pygx, beta)
+    runs = len(q1)
+    pairs = _ib_pairs(np.concatenate([q2, q3]), px, pxy, py)
+    lag = pairs[:, 0] - np.tile(beta[:, 0, 0], 2) * pairs[:, 1]
+    take = (lag[runs:] <= lag[:runs])[:, None]
+    pairs = np.where(take, pairs[runs:], pairs[:runs])
+    take = take[:, :, None]
+    return np.where(take, q3, q2), np.where(take, ln3, ln2), pairs
+
+
 def _ib_run(q, px, pygx, py, beta):
     """Self-consistent runs in lockstep; returns (q, converged, history, cycles).
 
     ``q`` stacks the initial kernels ``(runs, nx, card)`` and ``beta`` holds
-    each run's multiplier.  Each refresh cycle computes P(U) and P(Y|U) of
-    every running kernel once and updates the kernels; that is all the
-    loop does.  A run stops once its convergence test has accepted a
-    kernel, or after ``MAX_ITERS`` cycles, so it ends where it ends alone.
+    each run's multiplier.  With T the refresh map, an iteration takes
+    ``q1 = T(q)``; a run whose ``q1`` moved no entry by more than
+    ``CONV_TOL`` stops there, holding ``q1``.  Every other run takes
+    ``q2 = T(q1)``, extrapolates ``q, q1, q2`` by one SQUAREM step in the
+    log domain (`dist._squarem`), normalized per row, and refreshes that
+    point to ``q3``; it keeps ``q3`` when its Lagrangian is at most that of
+    ``q2``, and ``q2`` otherwise.  Since T never raises the Lagrangian,
+    neither does an iteration.  An iteration thus makes up to three
+    refreshes, and a run stops after ``MAX_ITERS`` iterations at most, so
+    it ends where it ends alone.
 
-    The (I(U;X), I(U;Y)) pairs in nats of every kernel a run holds are
-    recorded afterwards: the loop keeps the kernels, and `_ib_pairs`
-    evaluates them in one call when the runs stop or when the kept kernels
-    reach a batch sized so that they and that call's temporaries stay
-    within ``MAX_SOLVER_ENTRIES`` entries.  ``history[c]`` holds every
-    run's pair after ``c`` cycles, shaped ``(runs, 2)``, a stopped run
-    repeating its last one; ``cycles[r]`` counts run r's cycles, so its
-    trace is ``history[:cycles[r] + 1, r]`` and its last pair belongs to
-    ``q[r]``.
+    ``history[c]`` holds every run's (I(U;X), I(U;Y)) pair in nats after
+    ``c`` iterations, shaped ``(runs, 2)``, a stopped run repeating its last
+    one; the pairs come from the `_ib_pairs` call the objective check makes
+    anyway.  ``cycles[r]`` counts run r's iterations, so its trace is
+    ``history[:cycles[r] + 1, r]`` and its last pair belongs to ``q[r]``.
     """
     pxy = px[:, None] * pygx
-    # every run writes its row of ``out`` when it stops
-    q = np.asarray(q, dtype=float)
+    # a copy, so that the first iteration holds as many kernels as the rest
+    q = np.array(q, dtype=float)
     out = np.empty_like(q)
-    runs, nx, card = q.shape
+    runs = len(q)
     live = np.arange(runs)
-    # a stopped run's entries are final: whether its last update converged,
-    # and its number of refresh cycles; ``settled`` holds the first for
-    # the live runs
     conv, cycles = np.zeros(runs, dtype=bool), np.zeros(runs, dtype=int)
-    settled = np.zeros(runs, dtype=bool)
     beta = np.asarray(beta, dtype=float)[:, None, None]
-    # kernels kept for `_ib_pairs`: one takes nx * card entries, and its
-    # evaluation's temporaries at most three times card * (nx + ny) more
-    batch = max(1, MAX_SOLVER_ENTRIES // (4 * card * (nx + pygx.shape[1])))
-    kept, held, pairs = [], 0, []
-    # log P(u) is -inf for an unused u
+    pairs = _ib_pairs(q, px, pxy, py)
+    history = [pairs.copy()]
     with np.errstate(divide="ignore"):
-        for cycle in range(MAX_ITERS + 1):
-            if held + len(live) > batch and kept:
-                pairs.append(_ib_pairs(np.concatenate(kept), px, pxy, py))
-                kept, held = [], 0
-            kept.append(q)
-            held += len(live)
-            stop = settled | (cycle == MAX_ITERS)
-            if stop.any():
-                ended = live[stop]
-                out[ended], conv[ended], cycles[ended] = (
-                    q[stop], settled[stop], cycle)
-                if stop.all():
-                    break
-                live, q, beta = live[~stop], q[~stop], beta[~stop]
-            pu, pygu = _refresh(q, px, pxy)
-            # KL(P(Y|X=x) || P(Y|U=u)); +inf where the support is not covered
-            dist = np.add.reduce(rel_entr(pygx[:, None, :], pygu[:, None]),
-                                 axis=3)
-            lnq = np.log(pu)[:, None, :] - beta * dist
-            qn = np.exp(lnq - logsumexp(lnq))
-            settled = np.maximum.reduce(np.abs(qn - q), axis=(1, 2)) <= CONV_TOL
-            q = qn
-    pairs.append(_ib_pairs(np.concatenate(kept), px, pxy, py))
-    # the kernels were kept cycle by cycle, the live runs of a cycle in
-    # order: exactly the cells (c, r) with c <= cycles[r], row-major
-    steps = np.arange(cycle + 1)[:, None]
-    history = np.empty((cycle + 1, runs, 2))
-    history[steps <= cycles] = np.concatenate(pairs)
-    history = history[np.minimum(steps, cycles), np.arange(runs)]
-    return out, conv, history, cycles
+        lnq = np.log(q)
+    for it in range(1, MAX_ITERS + 1):
+        ln1, q1 = _ib_update(q, px, pxy, pygx, beta)
+        settled = np.maximum.reduce(np.abs(q1 - q), axis=(1, 2)) <= CONV_TOL
+        go = ~settled
+        if settled.any():
+            ended = live[settled]
+            out[ended], conv[ended], cycles[ended] = q1[settled], True, it
+            pairs[ended] = _ib_pairs(q1[settled], px, pxy, py)
+            live, q, lnq, ln1, q1, beta = (
+                live[go], q[go], lnq[go], ln1[go], q1[go], beta[go])
+        if len(live):
+            q, lnq, pairs[live] = _ib_extrapolate(lnq, ln1, q1, px, pxy, pygx,
+                                                  py, beta)
+        history.append(pairs.copy())
+        if not len(live):
+            break
+    out[live], cycles[live] = q, MAX_ITERS
+    return out, conv, np.array(history), cycles
 
 
 def _ib_solve(j, betas, card_u, restarts, seed, unit):
@@ -246,8 +269,9 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     Dirichlet(1) kernels; the run with the lowest Lagrangian wins, ties
     broken by start index.  The runs advance in lockstep as one stack (see
     `_ib_run`), each ending where it ends alone.  ``converged`` reflects
-    the winning run: whether it met ``CONV_TOL`` within ``MAX_ITERS``
-    refresh cycles.  For beta <= 1 the constant variable is returned
+    the winning run: whether a refresh moved its kernel by at most
+    ``CONV_TOL`` within ``MAX_ITERS`` iterations, each of up to three
+    refreshes; ``history`` then has one entry per iteration, plus the start.  For beta <= 1 the constant variable is returned
     immediately (Lagrangian 0).  Raises `ValueError` for a ``beta`` that is
     not positive and finite or a negative ``restarts``, and
     `DimensionError` when the iteration's ``nx * card_u * ny`` array would

@@ -361,6 +361,20 @@ class TestWynerSolve:
         assert lower <= float(r.value) <= upper + 1e-6
         assert float(r.value) < min(entropy(px).value, entropy(py).value)
 
+    def test_polish_reaches_the_hard_tables_value(self):
+        # the exact value is 0.0076221 bits and the dual of the concave
+        # envelope certifies at least 0.0076204; a fixed 200-step EM polish
+        # left 0.0166398
+        r = wyner_solve(random_joint(2, 2, alpha=2.0, seed=822560579))
+        assert 0.0076204 <= float(r.value) <= 0.0079
+
+    def test_entry_cut_no_looser_than_the_atom_drop(self):
+        # dropping each leaking atom gave 0.58198 bits here, and the entry
+        # cut under a fixed 200-step EM polish 0.58908
+        j = zeroed_cell(25, 2)
+        r = wyner_solve(j, restarts=2, seed=0)
+        assert mutual_information(j).value <= float(r.value) <= 0.58198
+
     def test_feasibility_of_accepted_result(self, dsbs01):
         r = wyner_solve(dsbs01, card_w=2, restarts=6, seed=1)
         if r.converged:

@@ -8,7 +8,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 import infosep.ib
 from infosep.dist import (
-    MAX_SOLVER_ENTRIES,
     JointDistribution,
     conditional_kernel,
     marginals,
@@ -19,7 +18,7 @@ from infosep.errors import DimensionError, InvalidDistribution
 from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_curve, ib_fixed_point, theta_of_R
 from infosep.modal import reduce_joint
-from oracles import ib_run_per_cycle
+from test_modal import probe_tables
 
 MI_DSBS01 = 0.5310044064107188
 
@@ -140,6 +139,13 @@ class TestFixedPoint:
         assert not r.converged
         assert len(r.history) == 6
 
+    def test_slow_multiplier_ends_in_few_iterations(self, dsbs01):
+        # beta = 1.5 lies just below the critical 1 / sigma_1^2 = 1.5625,
+        # where the refresh map alone contracts by about 0.96 per cycle and
+        # the copy start needs 454 of them
+        r = ib_fixed_point(dsbs01, 1.5, restarts=0)
+        assert r.converged and len(r.history) - 1 <= 20
+
     def test_default_card(self, dsbs01):
         r = ib_fixed_point(dsbs01, 2.0)
         assert r.card_u == dsbs01.nx + 1
@@ -185,6 +191,20 @@ class TestFixedPoint:
                                     sol.lagrangian.value]).all(), j.p.tolist()
         assert solved > 700
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_range_cells_run_free_of_warnings(self):
+        # the extrapolation subtracts logs of kernels, where -inf - -inf
+        # would appear; cells from 1e-310 to 1e308 make such kernels
+        solved = 0
+        for j in probe_tables(400):
+            for sol in infosep.ib._ib_solve(j, (1.5, 2.0, 5.0, 20.0), None, 2,
+                                            0, "bits"):
+                solved += 1
+                assert np.isfinite([sol.i_ux.value, sol.i_uy.value,
+                                    sol.lagrangian.value]).all(), j.p.tolist()
+                assert np.all(np.diff(sol.history) <= 1e-9), j.p.tolist()
+        assert solved > 1000
+
     def test_lagrangian_invariance_under_refinement(self):
         base = random_joint(2, 2, alpha=2.0, seed=31)
         refined, s, t = random_refinement(base, 4, 4, seed=31)
@@ -220,13 +240,13 @@ class TestIbBatch:
                 sol, ib_fixed_point(j, beta, restarts=restarts, seed=0))
 
     def test_cut_run_beside_converging_runs(self, dsbs01, monkeypatch):
-        # alone, the copy start at beta = 1.5 needs 454 refresh cycles and
-        # the one at beta = 5 fewer than 40: the cap cuts only the first
-        monkeypatch.setattr(infosep.ib, "MAX_ITERS", 40)
+        # alone, the copy start at beta = 1.5 needs 7 iterations and the
+        # one at beta = 5 needs 2: the cap cuts only the first
+        monkeypatch.setattr(infosep.ib, "MAX_ITERS", 4)
         c = ib_curve(dsbs01, self.GRID, restarts=0)
         by_beta = dict(zip(self.GRID, c.solutions))
-        assert not by_beta[1.5].converged and len(by_beta[1.5].history) == 41
-        assert by_beta[5.0].converged and len(by_beta[5.0].history) < 41
+        assert not by_beta[1.5].converged and len(by_beta[1.5].history) == 5
+        assert by_beta[5.0].converged and len(by_beta[5.0].history) < 5
         for beta, sol in zip(self.GRID, c.solutions):
             assert_same_solution(sol, ib_fixed_point(dsbs01, beta, restarts=0))
 
@@ -260,28 +280,17 @@ HISTORY_TABLES = {
 
 
 class TestIbHistory:
-    """The pairs `_ib_run` records in batches after its loop are the ones
-    the per-cycle reference records inside it, bit for bit."""
+    """Each run of a lockstep `_ib_run` stack is the run alone, bit for bit,
+    and ``history[c]`` holds the pairs of the kernels the runs held after
+    ``c`` iterations."""
 
     BETAS = (1.5, 2.0, 5.0, 20.0)
 
-    @staticmethod
-    def counted_pairs(monkeypatch):
-        sizes = []
-        pairs = infosep.ib._ib_pairs
-
-        def counted(q, *args):
-            sizes.append(len(q))
-            return pairs(q, *args)
-
-        monkeypatch.setattr(infosep.ib, "_ib_pairs", counted)
-        return sizes
-
-    @pytest.mark.parametrize("flush", ["at_end", "every_cycle", "mid_run"])
+    @pytest.mark.parametrize("cap", ["at_end", "every_cycle", "mid_run"])
     @pytest.mark.parametrize("restarts", [0, 10])
     @pytest.mark.parametrize("table", sorted(HISTORY_TABLES))
-    def test_batched_history_is_the_per_cycle_one(self, table, restarts,
-                                                  flush, monkeypatch):
+    def test_batched_history_is_the_per_cycle_one(self, table, restarts, cap,
+                                                  monkeypatch):
         j = HISTORY_TABLES[table]
         px, py = marginals(j)
         pygx = conditional_kernel(j).k
@@ -292,53 +301,57 @@ class TestIbHistory:
             np.ones(card), size=(restarts, j.nx))]
         stack = np.stack([q for _ in self.BETAS for q in inits])
         beta = np.repeat(self.BETAS, len(inits))
-        # one kept kernel with its temporaries takes this many entries
-        per_kernel = 4 * card * (j.nx + j.ny)
-        if flush == "every_cycle":
-            monkeypatch.setattr(infosep.ib, "MAX_SOLVER_ENTRIES", per_kernel)
-        elif flush == "mid_run":
-            monkeypatch.setattr(infosep.ib, "MAX_SOLVER_ENTRIES",
-                                per_kernel * 2 * len(stack))
-        sizes = self.counted_pairs(monkeypatch)
-        got = infosep.ib._ib_run(stack, px, pygx, py, beta)
-        want = ib_run_per_cycle(stack, px, pygx, py, beta)
-        for name, a, b in zip(("q", "converged", "history", "cycles"),
-                              got, want):
-            assert a.shape == b.shape, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
-        cycles = len(want[2])
-        assert sum(sizes) == int((want[3] + 1).sum())
-        if flush == "every_cycle":
-            assert len(sizes) == cycles
-        elif flush == "mid_run":
-            assert 1 < len(sizes) < cycles
-        else:
-            assert len(sizes) == 1
+
+        def run(idxs=slice(None)):
+            return infosep.ib._ib_run(stack[idxs], px, pygx, py, beta[idxs])
+
+        q, conv, history, cycles = run()
+        longest = int(cycles.max())
+        assert len(history) == longest + 1
+        if cap == "every_cycle":
+            # a cap of c iterations returns the kernels held after c
+            for c in range(longest + 1):
+                monkeypatch.setattr(infosep.ib, "MAX_ITERS", c)
+                held = run()[0]
+                np.testing.assert_array_equal(
+                    infosep.ib._ib_pairs(held, px, px[:, None] * pygx, py),
+                    history[c], err_msg=str(c))
+            return
+        if cap == "mid_run":
+            # the longest run is cut beside runs that end by themselves
+            monkeypatch.setattr(infosep.ib, "MAX_ITERS", longest // 2)
+            q, conv, history, cycles = run()
+            assert not conv.all() and len(history) == longest // 2 + 1
+        for r in range(len(stack)):
+            alone = run(slice(r, r + 1))
+            np.testing.assert_array_equal(alone[0][0], q[r])
+            assert alone[1][0] == conv[r] and alone[3][0] == cycles[r]
+            np.testing.assert_array_equal(alone[2][:, 0],
+                                          history[:cycles[r] + 1, r])
+            # a stopped run repeats its last pair
+            assert (history[cycles[r]:, r] == history[cycles[r], r]).all()
 
     def test_kept_kernels_stay_within_the_budget(self, monkeypatch):
-        # 48 x 911 kernels: 11 of them and their temporaries fit in
-        # MAX_SOLVER_ENTRIES, so 13 cycles of one run flush once mid-run.
-        # A batch is sized at four entries per kept entry, so the kept
-        # kernels and their evaluation add at most a quarter of the budget's
-        # bytes to the peak (about 4 MiB of 8 here)
+        # a run keeps only the kernels of its current iteration, so twelve
+        # iterations peak where one does, up to the history's pairs: a few
+        # KiB, where one more 48 x 911 kernel would take 342 KiB
         j = random_joint(48, 48, seed=0)
-        sizes = self.counted_pairs(monkeypatch)
+        # no run settles, so each makes every iteration it may
+        monkeypatch.setattr(infosep.ib, "CONV_TOL", -1.0)
 
         def peak(max_iters):
             monkeypatch.setattr(infosep.ib, "MAX_ITERS", max_iters)
             tracemalloc.start()
             try:
-                ib_fixed_point(j, 2.0, card_u=911, restarts=0)
-                return tracemalloc.get_traced_memory()[1]
+                r = ib_fixed_point(j, 2.0, card_u=911, restarts=0)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert len(r.history) == max_iters + 1
+            return peak
 
         short = peak(1)
-        sizes.clear()
-        long = peak(12)
-        assert sizes == [11, 2]
-        assert 4 * 11 * 911 * (48 + 48) <= MAX_SOLVER_ENTRIES
-        assert long <= short + 8 * MAX_SOLVER_ENTRIES // 4
+        assert peak(12) <= short + 8 * 1024
 
 
 class TestCurve:

@@ -313,14 +313,34 @@ def wyner_solve(j, card_w=None, restarts=10, seed=0):
 """
 
 
-def make_solver_checkout(root, shift=0.0, fail=False):
+STUB_SCAN_IB = """import json, os, types
+root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+with open(os.path.join(root, "stub.json")) as fh:
+    stub = json.load(fh)
+
+
+def ib_curve(j, betas, restarts=10, seed=0):
+    if stub["fail"]:
+        raise RuntimeError("stub")
+    rise = stub["shift"] * j.nx * (restarts == 2)
+    return types.SimpleNamespace(solutions=[types.SimpleNamespace(
+        beta=b, lagrangian=types.SimpleNamespace(value=rise - b * j.nx),
+        converged=b > 1.5,
+        history=(0.0, 1.0 if stub["bump"] and b == 20.0 else -1.0))
+        for b in betas])
+"""
+
+
+def make_solver_checkout(root, shift=0.0, fail=False, bump=False):
     package = root / "src" / "infosep"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "harness.py").write_text(STUB_SCAN_HARNESS)
     (package / "dist.py").write_text(STUB_SCAN_DIST)
     (package / "common_info.py").write_text(STUB_SCAN_SOLVER)
-    (root / "stub.json").write_text(json.dumps({"shift": shift, "fail": fail}))
+    (package / "ib.py").write_text(STUB_SCAN_IB)
+    (root / "stub.json").write_text(json.dumps(
+        {"shift": shift, "fail": fail, "bump": bump}))
     return str(root)
 
 
@@ -346,8 +366,8 @@ def test_wyner_scan_counts_falls_and_rises(tmp_path, capsys):
     assert "rises    0 (largest 0)\nno rises\n" in capsys.readouterr().out
     # the tool writes nothing into a checkout
     assert sorted(p.name for p in (tmp_path / "change").rglob("*")) == [
-        "__init__.py", "common_info.py", "dist.py", "harness.py", "infosep",
-        "src", "stub.json"]
+        "__init__.py", "common_info.py", "dist.py", "harness.py", "ib.py",
+        "infosep", "src", "stub.json"]
 
 
 def test_wyner_scan_fails_when_a_run_fails(tmp_path, capsys):
@@ -356,3 +376,38 @@ def test_wyner_scan_fails_when_a_run_fails(tmp_path, capsys):
     change = make_solver_checkout(tmp_path / "change", fail=True)
     assert tool.main([parent, change]) == 1
     assert "run failed: change" in capsys.readouterr().out
+
+
+def test_ib_scan_counts_falls_rises_and_monotone_histories(tmp_path, capsys):
+    tool = load_tool("ib_scan")
+    parent = make_solver_checkout(tmp_path / "parent")
+    change = make_solver_checkout(tmp_path / "change", shift=1e-3, bump=True)
+    assert tool.main([parent, change]) == 0
+    out = capsys.readouterr().out
+    # 148 tables, 7 multipliers, restarts 0 and 2; beta 1.2 and 1.5 do not
+    # converge, and the change's histories rise at beta 20
+    assert ("parent: 2072 solutions in " in out
+            and ", 1480 converged, 2072 nonincreasing histories" in out)
+    assert ", 1480 converged, 1776 nonincreasing histories" in out
+    assert "restarts 0           falls    0 (largest 0)  rises    0 " \
+           "(largest 0)" in out
+    assert "all 2072 solutions   falls    0 (largest 0)  rises 1036 " \
+           "(largest 0.006)" in out
+    # the five largest rises, ties in table order
+    assert "largest rises:\n  random_joint(6, 2, 0.5, 0), restarts 2, " \
+           "beta 1.2: -7.2000000000 -> -7.1940000000 (+0.006)\n" in out
+    assert out.count(" -> ") == 5
+    assert tool.main([change, parent]) == 0
+    assert "rises    0 (largest 0)\nno rises\n" in capsys.readouterr().out
+    # the tool writes nothing into a checkout
+    assert sorted(p.name for p in (tmp_path / "change").rglob("*")) == [
+        "__init__.py", "common_info.py", "dist.py", "harness.py", "ib.py",
+        "infosep", "src", "stub.json"]
+
+
+def test_ib_scan_fails_when_a_run_fails(tmp_path, capsys):
+    tool = load_tool("ib_scan")
+    parent = make_solver_checkout(tmp_path / "parent", fail=True)
+    change = make_solver_checkout(tmp_path / "change")
+    assert tool.main([parent, change]) == 1
+    assert "run failed: parent" in capsys.readouterr().out

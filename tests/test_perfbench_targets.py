@@ -58,7 +58,9 @@ def test_wyner_solve_calls_the_traced_functions(monkeypatch):
 
 def test_bottleneck_runs_report_their_lockstep_cycles(monkeypatch, tmp_path):
     # the tracer counts len(result[2]) - 1 of each _ib_run call as its
-    # refresh cycles; each cycle's kernel update calls logsumexp once
+    # iterations.  An iteration refreshes three times and normalizes one
+    # extrapolated point, four logsumexp calls; the last one, where every
+    # remaining run has settled, refreshes once
     results, updates = [], Counter()
     run, lse = infosep.ib._ib_run, infosep.ib.logsumexp
 
@@ -76,6 +78,9 @@ def test_bottleneck_runs_report_their_lockstep_cycles(monkeypatch, tmp_path):
     path.write_text(json.dumps({"p": dsbs(0.1).p.tolist()}))
     assert main(["measures", str(path), "--restarts", "2",
                  "--json-out", str(tmp_path / "out.json")]) == 0
-    # all 3 multipliers times 3 starts run in one stack
+    # all 3 multipliers times 3 starts run in one stack, and every run ends
+    # by itself
     assert len(results) == 1 and len(results[0][0]) == 9
-    assert len(results[0][2]) - 1 == updates["logsumexp"] > 0
+    assert results[0][1].all()
+    iterations = len(results[0][2]) - 1
+    assert iterations > 1 and updates["logsumexp"] == 4 * iterations - 3

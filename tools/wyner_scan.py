@@ -87,9 +87,10 @@ def _env(root: str) -> dict:
                 PYTHONDONTWRITEBYTECODE="1")
 
 
-def scan(root: str, tables: str) -> dict | None:
-    """The scan in the checkout ``root``; None when the run failed."""
-    proc = subprocess.run([sys.executable, "-c", SCAN_SCRIPT, tables],
+def scan(root: str, script: str, tables: str) -> dict | None:
+    """``script`` run on ``tables`` in the checkout ``root``, in a fresh
+    process; the JSON of its last line, or None when the run failed."""
+    proc = subprocess.run([sys.executable, "-c", script, tables],
                           env=_env(root), capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
@@ -101,32 +102,45 @@ def scan(root: str, tables: str) -> dict | None:
         return None
 
 
-def _moves(diffs) -> str:
-    falls = [-d for d in diffs if d < -MOVE]
-    rises = [d for d in diffs if d > MOVE]
-    return (f"falls {len(falls):4d} (largest {max(falls, default=0.0):.3g})"
-            f"  rises {len(rises):4d} (largest {max(rises, default=0.0):.3g})")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="tools/wyner_scan.py",
-                                     description=__doc__.splitlines()[0])
+def scan_both(argv, prog: str, doc: str, tables_script: str,
+              scan_script: str) -> dict | None:
+    """The scan of PARENT and of CHANGE, named on the command line ``argv``,
+    on the tables ``tables_script`` writes with PARENT's package.  Returns
+    the result of each side, or None after printing which side failed."""
+    parser = argparse.ArgumentParser(prog=prog,
+                                     description=doc.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-
     with tempfile.TemporaryDirectory() as tmp:
         tables = os.path.join(tmp, "tables.json")
-        subprocess.run([sys.executable, "-c", TABLES_SCRIPT, tables],
+        subprocess.run([sys.executable, "-c", tables_script, tables],
                        env=_env(roots["parent"]), check=True)
-        got = {side: scan(root, tables) for side, root in roots.items()}
+        got = {side: scan(root, scan_script, tables)
+               for side, root in roots.items()}
     failed = [side for side, result in got.items() if result is None]
     if failed:
         print(f"run failed: {', '.join(failed)}")
-        return 1
+        return None
+    return got
 
+
+def moves(diffs, move: float = MOVE) -> str:
+    """How many of ``diffs`` fall and rise by more than ``move``, with the
+    largest of each."""
+    falls = [-d for d in diffs if d < -move]
+    rises = [d for d in diffs if d > move]
+    return (f"falls {len(falls):4d} (largest {max(falls, default=0.0):.3g})"
+            f"  rises {len(rises):4d} (largest {max(rises, default=0.0):.3g})")
+
+
+def main(argv=None) -> int:
+    got = scan_both(argv, "tools/wyner_scan.py", __doc__, TABLES_SCRIPT,
+                    SCAN_SCRIPT)
+    if got is None:
+        return 1
     for side, result in got.items():
         converged = sum(row[4] for row in result["rows"])
         print(f"{side}: {len(result['rows'])} solves in "
@@ -137,8 +151,8 @@ def main(argv=None) -> int:
         for card in ("default", "max"):
             diffs = [d for row, d in pairs if row[1:3] == [restarts, card]]
             print(f"{f'restarts {restarts}, card_w {card}':27s} "
-                  f"{_moves(diffs)}")
-    print(f"{f'all {len(pairs)} solves':27s} {_moves([d for _, d in pairs])}")
+                  f"{moves(diffs)}")
+    print(f"{f'all {len(pairs)} solves':27s} {moves([d for _, d in pairs])}")
     rises = sorted((p for p in pairs if p[1] > MOVE), key=lambda p: -p[1])
     print("largest rises:" if rises else "no rises")
     for (name, restarts, card, value, _), d in rises[:5]:
