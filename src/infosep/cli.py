@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -315,6 +316,9 @@ def _cmd_ib_sweep(args) -> int:
     return EXIT_OK
 
 
+# built once per process: a parser holds reference cycles, so building one
+# per call leaves garbage that only a full collection frees
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infosep",

@@ -271,8 +271,9 @@ def ib_fixed_point(j: JointDistribution, beta: float, card_u: int | None = None,
     `_ib_run`), each ending where it ends alone.  ``converged`` reflects
     the winning run: whether a refresh moved its kernel by at most
     ``CONV_TOL`` within ``MAX_ITERS`` iterations, each of up to three
-    refreshes; ``history`` then has one entry per iteration, plus the start.  For beta <= 1 the constant variable is returned
-    immediately (Lagrangian 0).  Raises `ValueError` for a ``beta`` that is
+    refreshes; ``history`` has one entry per iteration, plus the start.
+    For beta <= 1 the constant variable is returned immediately
+    (Lagrangian 0).  Raises `ValueError` for a ``beta`` that is
     not positive and finite or a negative ``restarts``, and
     `DimensionError` when the iteration's ``nx * card_u * ny`` array would
     exceed ``MAX_SOLVER_ENTRIES`` entries.

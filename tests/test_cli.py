@@ -1,5 +1,6 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import warnings
@@ -712,3 +713,24 @@ def test_only_reports_with_a_digest_hash_the_input(capsys, dsbs_file,
         hashed.clear()
         assert main(argv) == EXIT_OK
         assert hashed == []
+
+
+def test_repeated_calls_leave_no_parser_garbage(capsys, dsbs_file):
+    # a parser holds reference cycles; built on every call, its objects
+    # were left to the cyclic collector and raised the process's peak RSS
+    # between full collections
+    argv = ["ib-sweep", dsbs_file, "--beta-grid", "2", "--restarts", "0"]
+    assert main(argv) == EXIT_OK
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        left = [type(o).__module__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert "argparse" not in left
+    capsys.readouterr()

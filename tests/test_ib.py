@@ -131,7 +131,7 @@ class TestFixedPoint:
         np.testing.assert_array_equal(a.kernel.k, b.kernel.k)
 
     def test_iteration_cap(self, dsbs01, monkeypatch):
-        # at beta = 2 the copy start needs 32 refresh cycles to converge
+        # at beta = 2 the copy start needs 8 iterations to converge
         full = ib_fixed_point(dsbs01, 2.0, restarts=0)
         assert full.converged and len(full.history) > 6
         monkeypatch.setattr(infosep.ib, "MAX_ITERS", 5)
