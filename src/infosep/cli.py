@@ -34,6 +34,8 @@ import math
 import os
 import sys
 
+import orjson
+
 from . import __version__
 from .common_info import gacs_korner, wyner_solve
 from .dist import (
@@ -92,7 +94,7 @@ def _load_distribution(path: str):
                     if row]
             matrix = [[float(cell) for cell in row] for row in rows]
         else:
-            doc = json.loads(blob.decode("utf-8"))
+            doc = orjson.loads(blob)
             if not isinstance(doc, dict) or "p" not in doc:
                 raise ValueError("JSON input must be an object with a 'p' field")
             matrix = doc["p"]
@@ -107,10 +109,15 @@ def _load_distribution(path: str):
 def _load_maps(path: str):
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            doc = orjson.loads(fh.read())
+        if not isinstance(doc, dict):
+            raise ValueError("JSON maps must be an object with 's' and 't' fields")
+        for key in ("s", "t"):
+            if key not in doc:
+                raise ValueError(f"JSON maps must have a {key!r} field")
         s = DeterministicMap(doc["s"])
         t = DeterministicMap(doc["t"])
-    except (OSError, ValueError, TypeError, KeyError, InfosepError) as exc:
+    except (OSError, ValueError, TypeError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse maps file {path!r}: {exc}")
     return s, t
 
