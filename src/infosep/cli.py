@@ -12,9 +12,13 @@ Subcommands:
 * ``ib-sweep``  -- bottleneck sweep over a multiplier grid, CSV output.
 
 Inputs are JSON distribution files ({"x_labels", "y_labels", "p"}) or
-headerless CSV matrices.  Reports are JSON with sorted keys and numbers
-rounded to 12 significant digits, so identical input, configuration and
-seed reproduce a report byte for byte except for the timestamp field.
+headerless CSV matrices.  JSON inputs, maps files included, are strict
+RFC 8259 text in UTF-8: there are no ``NaN`` or ``Infinity`` tokens, no
+out-of-range numbers such as ``1e400`` and no lone-surrogate escapes, and
+integers beyond 64 bits are read as floats.  Reports are JSON with sorted
+keys and numbers rounded to 12 significant digits, so identical input,
+configuration and seed reproduce a report byte for byte except for the
+timestamp field.
 
 Exit codes: 0 success, 2 unreadable or unparseable input, a bad flag value,
 a solver size above the limit or a table a solver cannot take, 3 output
@@ -79,6 +83,10 @@ def _fail(code: int, message: str):
 def _load_distribution(path: str):
     """Parse a distribution file; returns (joint, its raw bytes).
 
+    A JSON file must be strict RFC 8259 text in UTF-8: ``NaN``,
+    ``Infinity``, out-of-range numbers such as ``1e400`` and lone-surrogate
+    escapes fail to decode, and integers beyond 64 bits are read as floats.
+
     The bytes are hashed only by the commands whose report carries the
     digest (see `_base_doc`).
     """
@@ -101,7 +109,7 @@ def _load_distribution(path: str):
             x_labels = doc.get("x_labels")
             y_labels = doc.get("y_labels")
         joint = validate_and_trim(matrix, x_labels=x_labels, y_labels=y_labels)
-    except (ValueError, TypeError, OverflowError, InfosepError) as exc:
+    except (ValueError, TypeError, InfosepError) as exc:
         _fail(EXIT_PARSE, f"cannot parse input {path!r}: {exc}")
     return joint, blob
 
@@ -111,7 +119,8 @@ def _load_maps(path: str):
         with open(path, "rb") as fh:
             doc = orjson.loads(fh.read())
         if not isinstance(doc, dict):
-            raise ValueError("JSON maps must be an object with 's' and 't' fields")
+            raise ValueError(
+                "JSON maps must be an object with 's' and 't' fields")
         for key in ("s", "t"):
             if key not in doc:
                 raise ValueError(f"JSON maps must have a {key!r} field")

@@ -13,7 +13,8 @@ import infosep.common_info
 import infosep.harness
 from infosep.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from infosep.common_info import gacs_korner, wyner_solve
-from infosep.dist import DeterministicMap, mutual_information
+from infosep.dist import (DeterministicMap, mutual_information,
+                          validate_and_trim)
 from infosep.finfo import BUILTIN_GENERATORS, f_information
 from infosep.harness import dsbs, random_joint, random_refinement
 from infosep.ib import ib_fixed_point
@@ -600,6 +601,95 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Warning" not in err
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({"t": [0, 1]}, "JSON maps must have a 's' field"),
+        ({"s": [0, 1]}, "JSON maps must have a 't' field"),
+        ([1, 2], "JSON maps must be an object with 's' and 't' fields"),
+    ], ids=["no-s", "no-t", "list"])
+    def test_maps_file_error_names_the_problem(self, capsys, dsbs_file,
+                                               tmp_path, doc, problem):
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps(doc))
+        assert main(["verify", dsbs_file, "--maps", str(maps)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: cannot parse maps file {str(maps)!r}: {problem}\n")
+
+
+#: cells whose decoding is easy to get wrong: zero, the smallest subnormal,
+#: a subnormal, the smallest normal, tiny and huge normals, and the largest
+#: finite float
+EDGE_CELLS = ("0", "5e-324", "1e-310", "2.2250738585072014e-308", "1e-200",
+              "1e-160", "0.1", "0.5", "1", "1e308", "1.7976931348623157e308")
+
+
+def _digits_table(seed):
+    """A 6x6 table of 17-digit literals over many decades, one of them an
+    integer above 2**64 that no float holds exactly."""
+    rng = np.random.default_rng(seed)
+    cells = [f"{m:.17g}" for m in rng.random(36) * 10.0 ** rng.integers(
+        -300, 300, size=36)]
+    cells[7] = str(2**65 + 1)
+    return [cells[i:i + 6] for i in range(0, 36, 6)]
+
+
+def _assert_decoded_as_the_stdlib_decodes(tmp_path, rows):
+    text = '{"p": [%s]}' % ", ".join("[%s]" % ", ".join(row) for row in rows)
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    # the stdlib decoder is the reference only
+    want = validate_and_trim(json.loads(text)["p"]).p
+    got = infosep.cli._load_distribution(str(path))[0].p
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestJsonInput:
+    @pytest.mark.parametrize("rows", [
+        *([[cell, "0.5"], ["0.25", "1"]] for cell in EDGE_CELLS),
+        [EDGE_CELLS[:6], EDGE_CELLS[5:]],
+        _digits_table(0), _digits_table(1),
+    ])
+    def test_decoder_reads_the_floats_the_stdlib_reads(self, tmp_path, rows):
+        _assert_decoded_as_the_stdlib_decodes(tmp_path, rows)
+
+    def test_decoder_reads_a_large_refinement_as_the_stdlib(self, tmp_path):
+        p = random_refinement(dsbs(0.1), 400, 400, seed=3)[0].p
+        _assert_decoded_as_the_stdlib_decodes(
+            tmp_path, [[repr(float(v)) for v in row] for row in p])
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    def test_non_rfc_numbers_fail_to_decode(self, capsys, monkeypatch,
+                                            tmp_path, token):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table reached validation")
+
+        monkeypatch.setattr(infosep.cli, "validate_and_trim", refuse)
+        path = tmp_path / "t.json"
+        path.write_text('{"p": [[0.5, %s], [0.25, 0.25]]}' % token)
+        assert main(["reduce", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse input {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_nan_in_an_unused_maps_field_fails_to_decode(self, capsys,
+                                                         dsbs_file, tmp_path):
+        maps = tmp_path / "maps.json"
+        maps.write_text('{"s": [0, 1], "t": [0, 1], "note": NaN}')
+        assert main(["verify", dsbs_file, "--maps", str(maps)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse maps file {str(maps)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_lone_surrogate_label_fails_to_decode(self, capsys, tmp_path):
+        # RFC 8259 text is UTF-8, which has no lone surrogates
+        path = tmp_path / "t.json"
+        path.write_text('{"p": [[0.45, 0.05], [0.05, 0.45]], '
+                        '"x_labels": ["\\ud800", "b"]}')
+        assert main(["reduce", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse input {str(path)!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestIbSweep:
